@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt vet lint lint-json test race fuzz bench benchcheck solvebench calibperf calibperf-test arena serve loadtest crashtest clustersmoke ci
+.PHONY: all build fmt vet lint lint-json test race fuzz experiments bench benchcheck solvebench calibperf calibperf-test arena serve loadtest crashtest clustersmoke ci
 
 all: ci
 
@@ -43,7 +43,14 @@ fuzz:
 	$(GO) test -fuzz=FuzzRecoverSession -fuzztime=$(FUZZTIME) -run='^$$' ./internal/store
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) -run='^$$' ./internal/store
 	$(GO) test -fuzz=FuzzRestoreEngine -fuzztime=$(FUZZTIME) -run='^$$' ./internal/online
+	$(GO) test -fuzz=FuzzImport -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server
 	$(GO) test -fuzz=FuzzInstanceKey -fuzztime=$(FUZZTIME) -run='^$$' ./internal/solve
+
+# experiments runs all 17 paper experiments on their full grids (the
+# numbers in EXPERIMENTS.md); calibbench exits 1 on any FAIL verdict.
+# `go test` runs only the Quick grids.
+experiments:
+	$(GO) run ./cmd/calibbench
 
 # bench writes a dated machine-readable performance report (ns/op,
 # allocs/op, steps/sec for the steppers, the offline DP, the
@@ -123,4 +130,4 @@ crashtest:
 clustersmoke:
 	./scripts/clustersmoke.sh
 
-ci: build fmt vet lint test race calibperf-test fuzz arena crashtest clustersmoke
+ci: build fmt vet lint test race calibperf-test experiments fuzz arena crashtest clustersmoke

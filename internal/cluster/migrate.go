@@ -11,8 +11,8 @@ import (
 // Live session handoff and ring rebalance. The protocol is
 // export → import → purge (DESIGN.md §13 has the state machine and
 // failure matrix): the source drains the session's worker and hands
-// back snapshot + WAL tail, the target replays it through the crash
-// recovery path, and only after the import has durably succeeded does
+// back the bytes of its snap file, the target restores them through
+// the crash recovery path, and only after the import has durably succeeded does
 // the gateway purge the settled source copy. Every step is crash-safe:
 // until the purge, the source directory is a safety net that resurrects
 // the session at the source's next boot.

@@ -11,8 +11,8 @@
 // so any gateway with the same backend set routes identically, and the
 // session state itself lives in the backends' WALs. Sessions being
 // deterministic command streams is what makes migration exact — the
-// importing node replays the shipped snapshot + WAL tail through the
-// same code path as crash recovery.
+// importing node restores the shipped snap file through the same code
+// path as crash recovery.
 package cluster
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"math/rand/v2"
 	"os"
@@ -136,23 +137,28 @@ func downgradeSnapshots(t *testing.T, root string) int {
 	}
 	n := 0
 	for _, id := range ids {
-		rs, err := st.ExportSession(id)
+		path := filepath.Join(root, id, "snap")
+		b, err := os.ReadFile(path)
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rs.Snap == nil {
-			continue
+		snap, err := store.DecodeSnapshot(b)
+		if err != nil {
+			t.Fatal(err)
 		}
-		v1 := *rs.Snap
+		v1 := *snap
 		v1.Version = 1
-		if v1.Engine, err = online.StateV1(rs.Snap.Engine); err != nil {
+		if v1.Engine, err = online.StateV1(snap.Engine); err != nil {
 			t.Fatal(err)
 		}
 		payload, err := json.Marshal(&v1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(root, id, "snap"), snapshotFrame(v1.Seq, payload), 0o644); err != nil {
+		if err := os.WriteFile(path, snapshotFrame(v1.Seq, payload), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		n++

@@ -10,14 +10,18 @@ import (
 // Engine is the incremental scheduling interface a serving layer drives:
 // an online algorithm packaged as a state machine that consumes arrivals
 // one time step at a time and can report its schedule so far at any
-// moment. *Stepper implements it for Algorithms 1 and 2; future backends
-// (Alg2Multi, the baselines) plug in by satisfying the same contract and
-// registering an EngineSpec.
+// moment. *Stepper implements it for Algorithms 1 and 2; a backend plugs
+// in by satisfying the same contract and registering an EngineSpec.
 //
 // The contract matches Stepper exactly: Step must be called for
 // consecutive time steps starting at 0, each call fed only the jobs
-// released at the current step.
+// released at the current step. Every engine snapshots its state and
+// fast-forwards idle stretches: the serving layer persists, recovers and
+// migrates sessions through MarshalState and the spec's Restore, and
+// steps quiet ticks through SkipIdle.
 type Engine interface {
+	Snapshotter
+	IdleSkipper
 	// Step simulates the current time step with the given arrivals and
 	// advances the clock.
 	Step(arrivals []core.Job) StepEvent
@@ -33,11 +37,16 @@ type Engine interface {
 	Schedule(n int) *core.Schedule
 	// Triggers returns the trigger behind each calendar entry so far.
 	Triggers() []Trigger
+	// Jobs reports the jobs the engine holds: those waiting in its queue,
+	// in no particular order, and the start of each one it has started,
+	// keyed by job ID. Both are the engine's own: read-only, and valid
+	// until the next Step or SkipIdle.
+	Jobs() (queued []core.Job, starts map[int]int64)
 }
 
 var _ Engine = (*Stepper)(nil)
 
-// IdleSkipper is the optional fast-forward extension of Engine: with an
+// IdleSkipper is the fast-forward part of Engine: with an
 // empty queue, no trigger can fire and no job can run, so every step is
 // pure clock advancement — SkipIdle jumps the clock in O(1) where
 // repeated Step(nil) calls would cost one call per tick. This is
@@ -53,8 +62,6 @@ type IdleSkipper interface {
 	SkipIdle(to int64)
 }
 
-var _ IdleSkipper = (*Stepper)(nil)
-
 // EngineSpec describes one registered engine backend.
 type EngineSpec struct {
 	// Name is the identifier used by the serving API ("alg1", "alg2").
@@ -69,9 +76,7 @@ type EngineSpec struct {
 	// New constructs a fresh engine for calibration length T and cost G.
 	New func(t, g int64, opts ...Option) Engine
 	// Restore reconstructs an engine from a state snapshot produced by
-	// its Snapshotter (crash recovery; see snapshot.go). nil for
-	// backends without snapshot support — their sessions recover by
-	// replaying the full command log instead.
+	// its MarshalState (crash recovery and migration; see snapshot.go).
 	Restore func(t, g int64, state []byte, opts ...Option) (Engine, error)
 }
 

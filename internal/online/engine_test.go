@@ -1,6 +1,7 @@
 package online
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -25,6 +26,46 @@ func TestEngineRegistry(t *testing.T) {
 	}
 	if _, ok := LookupEngine("opt"); ok {
 		t.Error("LookupEngine accepted an unregistered name")
+	}
+}
+
+// TestEngineRegistryContract pins what the serving layer relies on from
+// every registered backend: it can be built and restored, a state
+// survives MarshalState → Restore → MarshalState byte for byte, fresh
+// or mid-run, and Jobs accounts for every job fed.
+func TestEngineRegistryContract(t *testing.T) {
+	for _, spec := range Engines() {
+		if spec.New == nil || spec.Restore == nil {
+			t.Fatalf("%s: New or Restore is nil", spec.Name)
+		}
+		eng := spec.New(4, 9)
+		for step := int64(0); step <= 24; step++ {
+			if step%8 == 0 {
+				state, err := eng.MarshalState()
+				if err != nil {
+					t.Fatalf("%s at %d: %v", spec.Name, step, err)
+				}
+				back, err := spec.Restore(4, 9, state)
+				if err != nil {
+					t.Fatalf("%s at %d: restore: %v", spec.Name, step, err)
+				}
+				again, err := back.MarshalState()
+				if err != nil {
+					t.Fatalf("%s at %d: re-marshal: %v", spec.Name, step, err)
+				}
+				if !bytes.Equal(again, state) {
+					t.Fatalf("%s at %d: state did not round-trip:\n got %x\nwant %x", spec.Name, step, again, state)
+				}
+			}
+			var arrivals []core.Job
+			if step%3 == 0 {
+				arrivals = []core.Job{{ID: int(step / 3), Release: step, Weight: 1}}
+			}
+			eng.Step(arrivals)
+			if queued, starts := eng.Jobs(); len(queued)+len(starts) != int(step/3)+1 || len(queued) != eng.Pending() {
+				t.Fatalf("%s at %d: Jobs holds %d queued and %d started of %d fed", spec.Name, step, len(queued), len(starts), step/3+1)
+			}
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ func FuzzRestoreEngine(f *testing.F) {
 		st, _ := NewEngine(alg, 3, 6)
 		for step := int64(0); step < 12; step++ {
 			st.Step([]core.Job{{ID: int(step), Release: step, Weight: 1 + step%3}})
-			b, err := st.(Snapshotter).MarshalState()
+			b, err := st.MarshalState()
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func FuzzRestoreEngine(f *testing.F) {
 		if err != nil {
 			return
 		}
-		marshaled, err := eng.(Snapshotter).MarshalState()
+		marshaled, err := eng.MarshalState()
 		if err != nil {
 			t.Fatalf("restored engine does not marshal: %v", err)
 		}

@@ -16,29 +16,24 @@ import (
 // write-ahead log of its deterministic command stream plus periodic
 // snapshots that let recovery skip replaying the whole history. The
 // snapshot needs the engine's internal state in a stable, versioned
-// encoding; engines opt in by implementing Snapshotter and registering a
-// Restore constructor on their EngineSpec. Backends that do not (a future
-// Alg2Multi engine, say) still persist correctly — the serving layer then
-// never truncates their log and recovery replays it from the first
-// record, which is slower but equally exact because engines are
-// deterministic functions of their command stream.
+// encoding: every Engine implements Snapshotter, and every EngineSpec
+// registers the matching Restore constructor.
 
-// Snapshotter is implemented by engines whose full state can be captured
-// for crash recovery. MarshalState must be deterministic given the same
-// engine state (recovered and never-killed servers are differentially
-// compared) and must round-trip exactly through the spec's Restore.
+// Snapshotter is the part of Engine that captures its full state for
+// crash recovery and migration. MarshalState must be deterministic given
+// the same engine state (recovered and never-killed servers are
+// differentially compared) and must round-trip exactly through the
+// spec's Restore.
 type Snapshotter interface {
 	// MarshalState encodes the engine's complete state. The encoding is
 	// owned by the engine; callers treat it as opaque bytes.
 	MarshalState() ([]byte, error)
 }
 
-var _ Snapshotter = (*Stepper)(nil)
-
 // stepperStateVersion is the Stepper encoding MarshalState emits.
 // Version 1 (JSON, the stepperState field tags) is still restored, so
-// snapshots and migration exports from older nodes load; decode
-// dispatches on its leading '{'.
+// snapshot files older nodes wrote load; decode dispatches on its
+// leading '{'.
 //
 // Version 2 is binary:
 //
@@ -294,16 +289,11 @@ func restoreStepper(alg string, build func(t, g int64, opts ...Option) *Stepper)
 }
 
 // RestoreEngine validates the parameters and reconstructs the named
-// backend from a state snapshot produced by its Snapshotter. Backends
-// without snapshot support return an error; their sessions recover by
-// full-log replay instead.
+// backend from a state snapshot produced by its MarshalState.
 func RestoreEngine(name string, t, g int64, state []byte, opts ...Option) (Engine, error) {
 	spec, ok := LookupEngine(name)
 	if !ok {
 		return nil, fmt.Errorf("online: unknown engine %q", name)
-	}
-	if spec.Restore == nil {
-		return nil, fmt.Errorf("online: engine %q has no snapshot support", name)
 	}
 	if t < 1 {
 		return nil, fmt.Errorf("online: calibration length T = %d, want >= 1", t)

@@ -53,7 +53,7 @@ func TestStepperSnapshotRoundTrip(t *testing.T) {
 		for eng.Now() < cut {
 			eng.Step(byTime[eng.Now()])
 		}
-		state, err := eng.(Snapshotter).MarshalState()
+		state, err := eng.MarshalState()
 		if err != nil {
 			t.Fatalf("trial %d: marshal at step %d: %v", trial, cut, err)
 		}

@@ -187,6 +187,11 @@ func (s *Stepper) Schedule(n int) *core.Schedule {
 	return sched
 }
 
+// Jobs implements Engine.
+func (s *Stepper) Jobs() (queued []core.Job, starts map[int]int64) {
+	return s.q.Jobs(), s.starts
+}
+
 // Triggers returns the trigger per calendar entry so far.
 func (s *Stepper) Triggers() []Trigger {
 	return append([]Trigger(nil), s.triggers...)

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"calibsched/internal/store"
-	"calibsched/internal/trace"
-)
+import "calibsched/internal/trace"
 
 // JSON request/response schema of the calibserved v1 API. All quantities
 // are int64 on the wire, matching the exact integer model of
@@ -218,27 +215,14 @@ type SessionListResponse struct {
 
 // ExportedSession is a session's complete durable state in transit
 // between nodes: the body of a successful POST /v1/sessions/{id}/export
-// and of the matching POST /v1/sessions/import. Either Snapshot carries
-// the engine state and Commands the WAL tail logged after it, or
-// Snapshot is nil and Commands is the full command stream from birth
-// (engines without snapshot support). Replaying Commands on top of
-// Snapshot on the importing node reproduces the session byte-exactly —
-// the same determinism crash recovery relies on.
+// and of the matching POST /v1/sessions/import. Snapshot holds the bytes
+// of the session's snap file (store.EncodeSnapshot: a CRC-framed v2
+// record, base64 in JSON), construction parameters included; the
+// importing node reads it with the same strict decoder crash recovery
+// uses, so a migrated session is byte-identical to one that never moved.
 type ExportedSession struct {
-	ID       string              `json:"id"`
-	Create   store.CreateCommand `json:"create"`
-	Snapshot *store.Snapshot     `json:"snapshot,omitempty"`
-	Commands []ExportedCommand   `json:"commands,omitempty"`
-}
-
-// ExportedCommand is one logged command of an exported session's replay
-// tail. Kind is "arrivals" (Jobs set) or "steps" (K set); sequence
-// numbers are not shipped — only relative order matters, and the
-// importing store renumbers from scratch.
-type ExportedCommand struct {
-	Kind string         `json:"kind"`
-	Jobs []store.JobRec `json:"jobs,omitempty"`
-	K    int64          `json:"k,omitempty"`
+	ID       string `json:"id"`
+	Snapshot []byte `json:"snapshot"`
 }
 
 // HealthResponse is the GET /healthz body.

@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"time"
 
-	"calibsched/internal/online"
 	"calibsched/internal/server/metrics"
 	"calibsched/internal/store"
 )
 
 // Live session migration, the server-side half of the cluster plane
-// (DESIGN.md §13). Export drains a session's worker and packages its
-// durable state — snapshot plus WAL tail, or the full command stream —
-// for shipment; Import replays shipped state into a live session on the
-// receiving node. Determinism does the heavy lifting: replay here is the
-// same code path as boot crash recovery, so a migrated session is
-// byte-identical to one that never moved.
+// (DESIGN.md §13). Export drains a session's worker and ships its state
+// as the bytes of its snapshot file; Import decodes and restores them
+// into a live session on the receiving node through the same strict
+// reader and restore path as boot crash recovery, so a migrated session
+// is byte-identical to one that never moved.
 
 // Export removes the session from the table, drains its worker, and
 // returns its complete durable state. The on-disk directory (when a
@@ -38,16 +36,7 @@ func (m *Manager) Export(id string) (*ExportedSession, error) {
 	// worker has drained can only be repaired by replaying from disk (and
 	// not at all for in-memory sessions).
 	var pfErr error
-	doErr := s.do(func() {
-		switch {
-		case s.broken != nil:
-			pfErr = &apiError{status: 409, msg: fmt.Sprintf(
-				"session %s is broken (%v); a broken session cannot be exported", id, s.broken)}
-		case !snapshotCapable(s) && s.per == nil:
-			pfErr = &apiError{status: 409, msg: fmt.Sprintf(
-				"session %s uses engine %s, which does not snapshot, and the node runs without a store: no durable history exists to ship", id, s.spec.Name)}
-		}
-	})
+	doErr := s.do(func() { pfErr = exportable(s) })
 	if doErr != nil {
 		return nil, doErr
 	}
@@ -97,51 +86,36 @@ func (m *Manager) Export(id string) (*ExportedSession, error) {
 	return exp, nil
 }
 
-// snapshotCapable reports whether the session's engine can export its
-// state directly. Worker-owned read (s.eng).
-func snapshotCapable(s *session) bool {
-	_, ok := s.eng.(online.Snapshotter)
-	return ok
-}
-
-// buildExport packages a drained session's state. Preferred path: a
-// fresh snapshot straight from the engine, with an empty tail. Engines
-// without snapshot support fall back to shipping the full WAL stream,
-// which only exists when a store is configured.
-func (m *Manager) buildExport(s *session) (*ExportedSession, error) {
+// exportable refuses a broken session: its engine may have been
+// interrupted mid-mutation, and shipping it would persist the wreckage.
+// Worker-owned (or post-drain manager-owned) read.
+func exportable(s *session) error {
 	if s.broken != nil {
-		return nil, &apiError{status: 409, msg: fmt.Sprintf(
+		return &apiError{status: 409, msg: fmt.Sprintf(
 			"session %s is broken (%v); a broken session cannot be exported", s.id, s.broken)}
 	}
-	snap, err := s.buildSnapshot()
-	if err == nil {
-		return &ExportedSession{
-			ID:       s.id,
-			Create:   store.CreateCommand{Alg: s.spec.Name, T: s.t, G: s.g},
-			Snapshot: snap,
-		}, nil
+	return nil
+}
+
+// buildExport packages a drained session's state as snap-file bytes.
+// With a store, the frame carries the log's seq, so the bytes equal the
+// snap file settle writes next.
+func (m *Manager) buildExport(s *session) (*ExportedSession, error) {
+	if err := exportable(s); err != nil {
+		return nil, err
 	}
-	if err != errNoSnapshot {
+	snap, err := s.buildSnapshot()
+	var b []byte
+	if err == nil {
+		if s.per != nil {
+			snap.Seq = s.per.log.Seq()
+		}
+		b, err = store.EncodeSnapshot(snap)
+	}
+	if err != nil {
 		return nil, &apiError{status: 500, msg: fmt.Sprintf("snapshotting session %s for export: %v", s.id, err)}
 	}
-	if s.per == nil {
-		return nil, &apiError{status: 409, msg: fmt.Sprintf(
-			"session %s uses engine %s, which does not snapshot, and the node runs without a store: no durable history exists to ship", s.id, s.spec.Name)}
-	}
-	// Full-stream path: the WAL holds every command since birth (a
-	// non-snapshotting engine's log is never truncated). The log is still
-	// open for append here, but the worker has drained, so the on-disk
-	// bytes are complete; ExportSession is a pure read.
-	rs, err := m.cfg.Store.ExportSession(s.id)
-	if err != nil {
-		return nil, &apiError{status: 500, msg: fmt.Sprintf("reading session %s wal for export: %v", s.id, err)}
-	}
-	return &ExportedSession{
-		ID:       s.id,
-		Create:   rs.Create,
-		Snapshot: rs.Snap,
-		Commands: exportedCommands(rs.Commands),
-	}, nil
+	return &ExportedSession{ID: s.id, Snapshot: b}, nil
 }
 
 // reviveFromDisk re-imports a session whose export failed after it was
@@ -178,38 +152,23 @@ func (m *Manager) reviveFromDisk(id string) {
 }
 
 // Import materializes shipped session state as a live session on this
-// node. The state is replayed (and, with a store, persisted) before the
-// session enters the table, so no request can observe it half-built; a
-// duplicate ID is a 409 — the gateway guarantees a session lives on one
-// node at a time, and a collision means that invariant broke upstream.
+// node. The snapshot bytes pass the store's strict decoder (frame, CRC,
+// version, table invariants) and the session restore boot recovery uses
+// before the session enters the table, so no request can observe it
+// half-built and a hostile payload is a 400; a duplicate ID is a 409 —
+// the gateway guarantees a session lives on one node at a time, and a
+// collision means that invariant broke upstream.
 func (m *Manager) Import(exp *ExportedSession) (SessionInfo, error) {
 	if err := validateSessionID(exp.ID); err != nil {
 		return SessionInfo{}, err
 	}
-	spec, ok := online.LookupEngine(exp.Create.Alg)
-	if !ok {
-		return SessionInfo{}, &apiError{status: 400, msg: fmt.Sprintf(
-			"exported session names unknown engine %q (have %v)", exp.Create.Alg, online.EngineNames())}
-	}
-	if _, err := online.NewEngine(exp.Create.Alg, exp.Create.T, exp.Create.G); err != nil {
-		return SessionInfo{}, &apiError{status: 400, msg: err.Error()}
-	}
-	cmds, err := storeCommands(exp.Commands)
+	snap, err := store.DecodeSnapshot(exp.Snapshot)
 	if err != nil {
-		return SessionInfo{}, err
+		return SessionInfo{}, &apiError{status: 400, msg: fmt.Sprintf("imported session %s: %v", exp.ID, err)}
 	}
-	rs := &store.RecoveredSession{ID: exp.ID, Create: exp.Create, Snap: exp.Snapshot, Commands: cmds}
-
-	// Replay into a workerless session first; only a state that replays
-	// cleanly end to end is worth persisting or serving.
-	s, err := m.restoreSession(rs, time.Now())
+	s, err := m.restoreSession(&store.RecoveredSession{ID: exp.ID, Create: snap.Create, Snap: snap}, time.Now())
 	if err != nil {
-		return SessionInfo{}, &apiError{status: 400, msg: fmt.Sprintf("replaying imported session %s: %v", exp.ID, err)}
-	}
-	if s.broken != nil {
-		m.discardRestored(s)
-		return SessionInfo{}, &apiError{status: 409, msg: fmt.Sprintf(
-			"imported session %s replays into a broken state: %v", exp.ID, s.broken)}
+		return SessionInfo{}, &apiError{status: 400, msg: fmt.Sprintf("restoring imported session %s: %v", exp.ID, err)}
 	}
 
 	m.mu.Lock()
@@ -234,16 +193,13 @@ func (m *Manager) Import(exp *ExportedSession) (SessionInfo, error) {
 		// Persist while holding m.mu, matching Create's ordering: the
 		// directory exists before the session serves, and no concurrent
 		// Create/Import can race on the same ID.
-		log, err := m.cfg.Store.ImportSession(exp.ID, exp.Create, exp.Snapshot, cmds)
+		log, err := m.cfg.Store.ImportSession(exp.ID, snap)
 		if err != nil {
 			m.mu.Unlock()
 			m.discardRestored(s)
 			return SessionInfo{}, &apiError{status: 500, msg: fmt.Sprintf("persisting imported session: %v", err)}
 		}
-		// The on-disk state already reflects every shipped command, so the
-		// replay tail counts toward the snapshot cadence exactly as in
-		// boot recovery.
-		s.per = newPersister(log, m.cfg.SnapshotEvery, len(cmds), m.cfg.Logger, exp.ID)
+		s.per = newPersister(log, m.cfg.SnapshotEvery, 0, m.cfg.Logger, exp.ID)
 	}
 	bumpNextID(&m.nextID, exp.ID)
 	m.sessions[exp.ID] = s
@@ -252,12 +208,12 @@ func (m *Manager) Import(exp *ExportedSession) (SessionInfo, error) {
 	go s.work()
 	metrics.SessionsImported.Add(1)
 	metrics.SessionsActive.Add(1)
-	return SessionInfo{ID: exp.ID, Alg: spec.Name, T: exp.Create.T, G: exp.Create.G}, nil
+	return SessionInfo{ID: exp.ID, Alg: s.spec.Name, T: s.t, G: s.g}, nil
 }
 
-// discardRestored releases a replayed-but-never-served session's
-// contribution to the queue-depth gauge (loadSnapshot and admit added
-// its buffered arrivals during replay). The worker never started, so
+// discardRestored releases a restored-but-never-served session's
+// contribution to the queue-depth gauge (loadSnapshot added its buffered
+// arrivals). The worker never started, so
 // there is nothing to drain.
 func (m *Manager) discardRestored(s *session) {
 	metrics.QueueDepth.Add(-s.depth.Swap(0))
@@ -291,45 +247,6 @@ func sortSessionInfos(infos []SessionInfo) {
 			infos[j], infos[j-1] = infos[j-1], infos[j]
 		}
 	}
-}
-
-// exportedCommands converts a recovered WAL tail to the wire form.
-func exportedCommands(cmds []store.Command) []ExportedCommand {
-	out := make([]ExportedCommand, 0, len(cmds))
-	for _, cmd := range cmds {
-		switch cmd.Type {
-		case store.RecordArrivals:
-			out = append(out, ExportedCommand{Kind: "arrivals", Jobs: cmd.Arrivals.Jobs})
-		case store.RecordSteps:
-			out = append(out, ExportedCommand{Kind: "steps", K: cmd.Steps.K})
-		}
-	}
-	return out
-}
-
-// storeCommands converts wire commands back to store form, validating
-// each — the payload crossed a network boundary and deserves the same
-// suspicion as WAL bytes.
-func storeCommands(cmds []ExportedCommand) ([]store.Command, error) {
-	out := make([]store.Command, len(cmds))
-	for i, c := range cmds {
-		switch c.Kind {
-		case "arrivals":
-			if len(c.Jobs) == 0 {
-				return nil, &apiError{status: 400, msg: fmt.Sprintf("exported command %d: empty arrivals batch", i)}
-			}
-			jobs := append([]store.JobRec(nil), c.Jobs...)
-			out[i] = store.Command{Type: store.RecordArrivals, Arrivals: &store.ArrivalsCommand{Jobs: jobs}}
-		case "steps":
-			if c.K < 1 {
-				return nil, &apiError{status: 400, msg: fmt.Sprintf("exported command %d: steps k=%d, want >= 1", i, c.K)}
-			}
-			out[i] = store.Command{Type: store.RecordSteps, Steps: &store.StepsCommand{K: c.K}}
-		default:
-			return nil, &apiError{status: 400, msg: fmt.Sprintf("exported command %d has kind %q, want arrivals or steps", i, c.Kind)}
-		}
-	}
-	return out, nil
 }
 
 // validateSessionID enforces the ID charset shared by client-pinned

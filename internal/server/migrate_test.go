@@ -1,6 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"calibsched/internal/store"
@@ -115,6 +122,10 @@ func TestExportImportPersistent(t *testing.T) {
 	if ok, err := srcStore.Exists(id); err != nil || !ok {
 		t.Fatalf("source dir gone after export (ok=%v err=%v)", ok, err)
 	}
+	// ...holding, byte for byte, the snapshot the export shipped.
+	if disk, err := os.ReadFile(filepath.Join(srcStore.Root(), id, "snap")); err != nil || !bytes.Equal(disk, exp.Snapshot) {
+		t.Fatalf("export is not the settled snap file (err=%v)", err)
+	}
 	// ...until DELETE purges it.
 	if status := doJSON(t, "DELETE", src.URL+"/v1/sessions/"+id, nil, nil); status != 204 {
 		t.Fatalf("post-migration purge: status %d", status)
@@ -171,17 +182,52 @@ func TestImportConflictsAndValidation(t *testing.T) {
 	if status := doJSON(t, "POST", dst.URL+"/v1/sessions/import", bad, nil); status != 400 {
 		t.Fatalf("hostile id import: status %d, want 400", status)
 	}
-	bad = exp
-	bad.ID = "other"
-	bad.Create.Alg = "no-such-engine"
-	if status := doJSON(t, "POST", dst.URL+"/v1/sessions/import", bad, nil); status != 400 {
-		t.Fatalf("unknown engine import: status %d, want 400", status)
+
+	// Hostile snapshots fail closed, whichever layer catches them.
+	snap, err := store.DecodeSnapshot(exp.Snapshot)
+	if err != nil {
+		t.Fatalf("decoding export: %v", err)
 	}
-	bad = exp
-	bad.ID = "other"
-	bad.Commands = []ExportedCommand{{Kind: "create"}}
-	if status := doJSON(t, "POST", dst.URL+"/v1/sessions/import", bad, nil); status != 400 {
-		t.Fatalf("bad command kind import: status %d, want 400", status)
+	if len(snap.Buffered) == 0 {
+		t.Fatal("fixture has no buffered arrivals to corrupt")
+	}
+	// A buffered ID beyond the job table, shipped as a v1 (JSON) frame.
+	v1 := *snap
+	v1.Version, v1.Seq, v1.Buffered = 1, 1, []int{99}
+	payload, err := json.Marshal(&v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), exp.Snapshot...)
+	flipped[len(flipped)-1] ^= 0x40
+	unknown := *snap
+	unknown.Create.Alg = "no-such-engine"
+	unknownBytes, err := store.EncodeSnapshot(&unknown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A job the table lists but neither the buffer nor the engine holds.
+	orphan := *snap
+	orphan.Jobs = append(append([]store.JobRec(nil), snap.Jobs...), store.JobRec{ID: len(snap.Jobs), Release: 40, Weight: 1})
+	orphanBytes, err := store.EncodeSnapshot(&orphan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		snap []byte
+		want string // substring of the error
+	}{
+		{"buffered ID out of table range", snapFrame(1, payload), "out of table range"},
+		{"flipped payload byte", flipped, "checksum mismatch"},
+		{"unknown engine", unknownBytes, "unknown engine"},
+		{"job held nowhere", orphanBytes, "neither buffered nor held"},
+	} {
+		bad := ExportedSession{ID: "other", Snapshot: tc.snap}
+		var e ErrorResponse
+		if status := doJSON(t, "POST", dst.URL+"/v1/sessions/import", bad, &e); status != 400 || !strings.Contains(e.Error, tc.want) {
+			t.Fatalf("%s: import status %d %q, want 400 mentioning %q", tc.name, status, e.Error, tc.want)
+		}
 	}
 
 	if status := doJSON(t, "POST", dst.URL+"/v1/sessions/no-such/export", nil, nil); status != 404 {
@@ -248,32 +294,13 @@ func TestReadyzFlipsOnShutdown(t *testing.T) {
 	}
 }
 
-// TestExportFullLogPath exercises the non-snapshot ship path by
-// exporting from a store-backed session whose WAL holds the full
-// history, then corrupting nothing — the wire form must carry commands
-// when the engine offers no snapshot. alg1 and alg2 both snapshot, so
-// this drives the store path directly through exportedCommands and
-// Manager.Import's replay.
-func TestExportedCommandConversion(t *testing.T) {
-	cmds := []store.Command{
-		{Type: store.RecordArrivals, Arrivals: &store.ArrivalsCommand{Jobs: []store.JobRec{{ID: 0, Release: 1, Weight: 2}}}},
-		{Type: store.RecordSteps, Steps: &store.StepsCommand{K: 9}},
-	}
-	wire := exportedCommands(cmds)
-	if len(wire) != 2 || wire[0].Kind != "arrivals" || wire[1].Kind != "steps" || wire[1].K != 9 {
-		t.Fatalf("wire = %+v", wire)
-	}
-	back, err := storeCommands(wire)
-	if err != nil {
-		t.Fatalf("storeCommands: %v", err)
-	}
-	if len(back) != 2 || back[0].Type != store.RecordArrivals || back[1].Steps.K != 9 {
-		t.Fatalf("back = %+v", back)
-	}
-	if _, err := storeCommands([]ExportedCommand{{Kind: "steps", K: 0}}); err == nil {
-		t.Fatal("k=0 steps must be rejected")
-	}
-	if _, err := storeCommands([]ExportedCommand{{Kind: "arrivals"}}); err == nil {
-		t.Fatal("empty arrivals must be rejected")
-	}
+// snapFrame frames a snapshot payload as the store does: u32 LE body
+// length, u32 LE CRC32C of the body, then the body: format version 1,
+// record type 4 (snapshot), u64 LE seq, payload.
+func snapFrame(seq uint64, payload []byte) []byte {
+	body := binary.LittleEndian.AppendUint64([]byte{1, 4}, seq)
+	body = append(body, payload...)
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return append(b, body...)
 }

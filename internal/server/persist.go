@@ -1,9 +1,9 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"time"
 
@@ -137,11 +137,7 @@ func (p *persister) maybeSnapshot(s *session) {
 func (p *persister) snapshot(s *session) {
 	snap, err := s.buildSnapshot()
 	if err != nil {
-		if !errors.Is(err, errNoSnapshot) {
-			p.logger.Warn("snapshot skipped; wal retained", "session", p.id, "err", err)
-		}
-		// Engines without snapshot support recover by full-log replay;
-		// their WALs are never truncated.
+		p.logger.Warn("snapshot skipped; wal retained", "session", p.id, "err", err)
 		return
 	}
 	if err := p.log.WriteSnapshot(snap); err != nil {
@@ -168,19 +164,11 @@ func (p *persister) settle(s *session) {
 	}
 }
 
-// errNoSnapshot marks an engine that does not implement
-// online.Snapshotter; such sessions persist via full-log replay only.
-var errNoSnapshot = errors.New("engine does not support snapshots")
-
 // buildSnapshot captures the session's durable state: the engine's own
 // encoding plus the accepted-job table and the IDs still sitting in the
 // arrival buffer. Worker-owned (or post-drain manager-owned) state only.
 func (s *session) buildSnapshot() (*store.Snapshot, error) {
-	snapper, ok := s.eng.(online.Snapshotter)
-	if !ok {
-		return nil, errNoSnapshot
-	}
-	state, err := snapper.MarshalState()
+	state, err := s.eng.MarshalState()
 	if err != nil {
 		return nil, err
 	}
@@ -203,29 +191,69 @@ func (s *session) buildSnapshot() (*store.Snapshot, error) {
 	return snap, nil
 }
 
-// loadSnapshot restores worker-owned state from a recovered snapshot.
-// The buffer is rebuilt by pushing jobs in ascending ID order, which the
-// queue's total order (release, then ID) maps to the exact pop sequence
-// of the original run.
+// loadSnapshot restores worker-owned state from a recovered or imported
+// snapshot, which must describe one consistent session. The buffer is
+// rebuilt by pushing jobs in ascending ID order, which the queue's total
+// order (release, then ID) maps to the exact pop sequence of the
+// original run.
 func (s *session) loadSnapshot(snap *store.Snapshot) error {
-	if len(snap.Engine) == 0 {
-		return fmt.Errorf("snapshot carries no engine state")
-	}
 	eng, err := online.RestoreEngine(s.spec.Name, s.t, s.g, snap.Engine, online.WithSink(s.ring))
 	if err != nil {
 		return err
 	}
+	// Every job in the table was admissible when it arrived, at clock 0
+	// or later, and a buffered one is still in the engine's future.
 	s.eng = eng
-	s.skipper, _ = eng.(online.IdleSkipper)
 	s.jobs = make([]core.Job, len(snap.Jobs))
 	for i, j := range snap.Jobs {
+		if err := s.admissible(i, j.Release, j.Weight, 0); err != nil {
+			return err
+		}
 		s.jobs[i] = core.Job{ID: j.ID, Release: j.Release, Weight: j.Weight}
 	}
 	for _, id := range snap.Buffered {
+		if err := s.admissible(id, s.jobs[id].Release, s.jobs[id].Weight, eng.Now()); err != nil {
+			return err
+		}
 		s.buffer.Push(s.jobs[id])
+	}
+	if err := checkHeld(eng, s.jobs, snap.Buffered); err != nil {
+		return err
 	}
 	metrics.QueueDepth.Add(int64(len(snap.Buffered)))
 	s.depth.Add(int64(len(snap.Buffered)))
+	return nil
+}
+
+// checkHeld requires the engine to hold exactly the table's unbuffered
+// jobs: each one either queued as the table has it, or started no
+// earlier than its release.
+func checkHeld(eng online.Engine, jobs []core.Job, buffered []int) error {
+	held := make([]bool, len(jobs))
+	hold := func(id int) bool {
+		ok := id >= 0 && id < len(held) && !held[id]
+		if ok {
+			held[id] = true
+		}
+		return ok
+	}
+	for _, id := range buffered {
+		hold(id)
+	}
+	queued, starts := eng.Jobs()
+	for _, j := range queued {
+		if !hold(j.ID) || j != jobs[j.ID] {
+			return fmt.Errorf("engine queues %+v, which is no unbuffered job of the table", j)
+		}
+	}
+	for id, start := range starts {
+		if !hold(id) || start < jobs[id].Release {
+			return fmt.Errorf("engine started job %d at %d, which is no unbuffered job of the table released by then", id, start)
+		}
+	}
+	if id := slices.Index(held, false); id >= 0 {
+		return fmt.Errorf("job %d is neither buffered nor held by the engine", id)
+	}
 	return nil
 }
 
@@ -327,13 +355,13 @@ func (m *Manager) rebuild(rs *store.RecoveredSession, now time.Time) (*session, 
 	return s, nil
 }
 
-// restoreSession replays recovered (or migrated — the import path rides
-// the same replay) state into a workerless session: snapshot first, then
-// the command stream in order against the deterministic engine. The
-// returned session has no persister and no running worker; the caller
-// attaches both once it decides the session is worth serving. On error
-// the session's queue-depth contribution is released, so a failed replay
-// leaves no stale gauge behind.
+// restoreSession replays recovered (or migrated — an import is a
+// snapshot with no commands) state into a workerless session: snapshot
+// first, then the command stream in order against the deterministic
+// engine. The returned session has no persister and no running worker;
+// the caller attaches both once it decides the session is worth serving.
+// On error the session's queue-depth contribution is released, so a
+// failed replay leaves no stale gauge behind.
 func (m *Manager) restoreSession(rs *store.RecoveredSession, now time.Time) (*session, error) {
 	spec, ok := online.LookupEngine(rs.Create.Alg)
 	if !ok {

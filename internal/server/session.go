@@ -54,11 +54,6 @@ type session struct {
 	jobs   []core.Job            // every accepted job, indexed by ID
 	broken error                 // sticky failure from a recovered panic
 
-	// skipper caches the engine's IdleSkipper capability (nil when the
-	// backend can't fast-forward); refreshed whenever eng is replaced
-	// (snapshot restore). Worker-owned like eng.
-	skipper online.IdleSkipper
-
 	// arrivals is the maturation scratch slice reused across every
 	// sub-step of every Step call, so feeding buffered jobs to the
 	// engine allocates nothing in steady state. Worker-owned.
@@ -106,7 +101,6 @@ func makeSession(id string, spec online.EngineSpec, t, g int64, maxBuffer, trace
 			return a.ID < b.ID
 		}),
 	}
-	s.skipper, _ = s.eng.(online.IdleSkipper)
 	s.lastActive.Store(now.UnixNano())
 	return s
 }
@@ -224,16 +218,8 @@ func (s *session) admit(specs []JobSpec, act *trace.Active) (ArrivalsResponse, e
 	}
 	now := s.eng.Now()
 	for i, js := range specs {
-		if js.Release < now {
-			return ArrivalsResponse{}, &apiError{status: 409, msg: fmt.Sprintf(
-				"job %d released at %d but the session clock is already at %d; arrivals must not time-travel", i, js.Release, now)}
-		}
-		if js.Weight < 1 {
-			return ArrivalsResponse{}, &apiError{status: 400, msg: fmt.Sprintf("job %d has weight %d, want >= 1", i, js.Weight)}
-		}
-		if s.spec.UnitWeightsOnly && js.Weight != 1 {
-			return ArrivalsResponse{}, &apiError{status: 400, msg: fmt.Sprintf(
-				"engine %s is unweighted: job %d has weight %d, want 1", s.spec.Name, i, js.Weight)}
+		if err := s.admissible(i, js.Release, js.Weight, now); err != nil {
+			return ArrivalsResponse{}, err
 		}
 	}
 	// The buffer bound is admission policy, not state: replay bypasses it
@@ -277,6 +263,23 @@ func (s *session) admit(specs []JobSpec, act *trace.Active) (ArrivalsResponse, e
 		Buffered: s.buffer.Len(),
 		Capacity: s.maxBuffer,
 	}, nil
+}
+
+// admissible enforces the admission contract on job i of a batch: no
+// release before the session clock now, a positive weight, and weight 1
+// on unweighted engines.
+func (s *session) admissible(i int, release, weight, now int64) error {
+	switch {
+	case release < now:
+		return &apiError{status: 409, msg: fmt.Sprintf(
+			"job %d released at %d but the session clock is already at %d; arrivals must not time-travel", i, release, now)}
+	case weight < 1:
+		return &apiError{status: 400, msg: fmt.Sprintf("job %d has weight %d, want >= 1", i, weight)}
+	case s.spec.UnitWeightsOnly && weight != 1:
+		return &apiError{status: 400, msg: fmt.Sprintf(
+			"engine %s is unweighted: job %d has weight %d, want 1", s.spec.Name, i, weight)}
+	}
+	return nil
 }
 
 // Step advances the session k time steps, feeding buffered arrivals to
@@ -324,7 +327,7 @@ func (s *session) advance(k, maxBatch int64, act *trace.Active) (StepResponse, e
 		// to the next buffered release are pure clock ticks — quiet steps
 		// are elided from the event list anyway, so jumping the clock is
 		// response- and replay-identical to stepping them one by one.
-		if s.skipper != nil && s.eng.Pending() == 0 {
+		if s.eng.Pending() == 0 {
 			target := now + (k - i)
 			if !s.buffer.Empty() {
 				if next := s.buffer.Peek().Release; next < target {
@@ -332,7 +335,7 @@ func (s *session) advance(k, maxBatch int64, act *trace.Active) (StepResponse, e
 				}
 			}
 			if target > now {
-				s.skipper.SkipIdle(target)
+				s.eng.SkipIdle(target)
 				i += target - now
 				continue
 			}

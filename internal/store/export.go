@@ -3,35 +3,12 @@ package store
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 )
 
-// Migration export/import: the store-level half of live session handoff
-// (internal/cluster, DESIGN.md §13). Because sessions are deterministic
-// command streams, moving one between nodes is "ship the snapshot plus
-// the WAL tail and replay it": ExportSession reads a session's durable
-// state without disturbing it, and ImportSession materializes shipped
-// state as a fresh session directory on the receiving store.
-
-// ExportSession reads one session's durable state — latest snapshot plus
-// the command tail logged after it — without modifying anything on disk.
-// The session's Log may still be open elsewhere: WAL appends are plain
-// write syscalls, so a read after the owning worker has drained observes
-// every accepted record regardless of fsync policy. The returned
-// RecoveredSession carries no Log handle. A torn or corrupt tail is an
-// error here (unlike recovery): a live, cleanly drained session must
-// decode end to end, and shipping a silently shortened history would
-// materialize the divergence on another node.
-func (s *Store) ExportSession(id string) (*RecoveredSession, error) {
-	sc, err := s.scanSession(id, nil)
-	if err != nil {
-		return nil, err
-	}
-	if sc.rs.Truncated {
-		return nil, fmt.Errorf("store: session %s has a torn or corrupt wal tail; refusing to export a shortened history", id)
-	}
-	return sc.rs, nil
-}
+// Migration import: the store-level half of live session handoff
+// (internal/cluster, DESIGN.md §13). An exported session is the bytes of
+// its snapshot file (EncodeSnapshot); ImportSession materializes the
+// decoded snapshot as a fresh session directory on the receiving store.
 
 // Exists reports whether the session has a directory under the root,
 // recoverable or not.
@@ -49,16 +26,14 @@ func (s *Store) Exists(id string) (bool, error) {
 	return true, nil
 }
 
-// ImportSession materializes shipped session state as this store's own
-// durable copy: a fresh directory holding the snapshot (renumbered to
-// sequence 1) and the command tail appended after it (sequence 2
-// onward), or — for engines without snapshot support — a create record
-// followed by the full command stream. Any existing directory for the
-// id is replaced: migration rollback re-imports a session over its own
-// settled remains, and the shipped state is by construction at least as
-// new. The returned Log is synced (per policy) and ready for the
-// session's persister to continue appending.
-func (s *Store) ImportSession(id string, create CreateCommand, snap *Snapshot, cmds []Command) (*Log, error) {
+// ImportSession materializes a shipped snapshot as this store's own
+// durable copy: a fresh directory holding the snapshot, renumbered to
+// sequence 1, and an empty WAL. Any existing directory for the id is
+// replaced: migration rollback re-imports a session over its own settled
+// remains, and the shipped state is by construction at least as new.
+// The returned Log is synced (per policy) and ready for the session's
+// persister to continue appending.
+func (s *Store) ImportSession(id string, snap *Snapshot) (*Log, error) {
 	dir, err := s.dir(id)
 	if err != nil {
 		return nil, err
@@ -66,15 +41,15 @@ func (s *Store) ImportSession(id string, create CreateCommand, snap *Snapshot, c
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, fmt.Errorf("store: clearing session dir for import: %w", err)
 	}
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating session dir: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	l, err := s.Create(id)
 	if err != nil {
-		return nil, fmt.Errorf("store: creating wal: %w", err)
+		return nil, err
 	}
-	l := s.newLog(dir, f, 0)
-	if err := l.importState(create, snap, cmds); err != nil {
+	// The snapshot claims sequence 1, a record that never hits the WAL,
+	// exactly like a cadence snapshot claims the seq of its last covered
+	// record; the session's next append lands at 2.
+	l.seq = 1
+	if err := l.WriteSnapshot(snap); err != nil {
 		if cErr := l.Close(); cErr != nil {
 			err = fmt.Errorf("%w (and closing the partial wal: %v)", err, cErr)
 		}
@@ -89,45 +64,4 @@ func (s *Store) ImportSession(id string, create CreateCommand, snap *Snapshot, c
 		}
 	}
 	return l, nil
-}
-
-// importState writes the shipped state into a fresh log. Sequence
-// numbers are renumbered from 1: the shipped tail's original numbering
-// belongs to the source's log and only relative order matters.
-func (l *Log) importState(create CreateCommand, snap *Snapshot, cmds []Command) error {
-	if snap != nil {
-		snap.Create = create
-		// The snapshot claims sequence 1 (a record that never hits the
-		// WAL, exactly like a cadence snapshot claims the seq of its
-		// last covered record); tail commands land at 2 onward, which
-		// recovery replays because their seq exceeds the snapshot's.
-		l.seq = 1
-		if err := l.WriteSnapshot(snap); err != nil {
-			return err
-		}
-	} else {
-		if _, err := l.AppendCreate(create); err != nil {
-			return err
-		}
-	}
-	for i, cmd := range cmds {
-		var err error
-		switch cmd.Type {
-		case RecordArrivals:
-			_, err = l.AppendArrivals(*cmd.Arrivals)
-		case RecordSteps:
-			_, err = l.AppendSteps(*cmd.Steps)
-		default:
-			err = fmt.Errorf("store: command %d of imported tail has type %d; only arrivals and steps belong there", i, cmd.Type)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if l.fsync != FsyncNone {
-		if err := l.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

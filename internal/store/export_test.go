@@ -1,15 +1,16 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// exportFixture builds a session with a few logged commands and returns
-// the store. With snapshotted true, a snapshot is written mid-stream so
-// the export carries snapshot + tail rather than the full log.
-func exportFixture(t *testing.T, snapshotted bool) (*Store, *Log) {
+// exportFixture builds a session with a snapshot and a one-command WAL
+// tail behind it, and returns the store and the snapshot file's bytes.
+func exportFixture(t *testing.T) (*Store, []byte) {
 	t.Helper()
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -25,155 +26,122 @@ func exportFixture(t *testing.T, snapshotted bool) (*Store, *Log) {
 	if _, err := l.AppendArrivals(ArrivalsCommand{Jobs: []JobRec{{ID: 0, Release: 0, Weight: 2}, {ID: 1, Release: 3, Weight: 1}}}); err != nil {
 		t.Fatalf("AppendArrivals: %v", err)
 	}
-	if snapshotted {
-		snap := &Snapshot{
-			Create: CreateCommand{Alg: "alg2", T: 5, G: 7},
-			Engine: []byte(`{"fake":"state"}`),
-			Jobs:   []JobRec{{ID: 0, Release: 0, Weight: 2}, {ID: 1, Release: 3, Weight: 1}},
-		}
-		if err := l.WriteSnapshot(snap); err != nil {
-			t.Fatalf("WriteSnapshot: %v", err)
-		}
+	snap := &Snapshot{
+		Create:   CreateCommand{Alg: "alg2", T: 5, G: 7},
+		Engine:   []byte(`{"fake":"state"}`),
+		Jobs:     []JobRec{{ID: 0, Release: 0, Weight: 2}, {ID: 1, Release: 3, Weight: 1}},
+		Buffered: []int{1},
+	}
+	if err := l.WriteSnapshot(snap); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	if _, err := l.AppendSteps(StepsCommand{K: 4}); err != nil {
 		t.Fatalf("AppendSteps: %v", err)
 	}
-	return st, l
-}
-
-func TestExportSessionFullLog(t *testing.T) {
-	st, l := exportFixture(t, false)
-	rs, err := st.ExportSession("s-000001")
-	if err != nil {
-		t.Fatalf("ExportSession: %v", err)
-	}
-	if rs.Log != nil {
-		t.Fatal("export must not hand out a log handle")
-	}
-	if rs.Snap != nil {
-		t.Fatalf("unexpected snapshot: %+v", rs.Snap)
-	}
-	if rs.Create.Alg != "alg2" || rs.Create.T != 5 || rs.Create.G != 7 {
-		t.Fatalf("create = %+v", rs.Create)
-	}
-	if len(rs.Commands) != 2 || rs.Commands[0].Type != RecordArrivals || rs.Commands[1].Type != RecordSteps {
-		t.Fatalf("commands = %+v", rs.Commands)
-	}
-	// The export is a pure read: the source log keeps appending.
-	if _, err := l.AppendSteps(StepsCommand{K: 1}); err != nil {
-		t.Fatalf("append after export: %v", err)
-	}
-}
-
-func TestExportSessionSnapshotAndTail(t *testing.T) {
-	st, _ := exportFixture(t, true)
-	rs, err := st.ExportSession("s-000001")
-	if err != nil {
-		t.Fatalf("ExportSession: %v", err)
-	}
-	if rs.Snap == nil {
-		t.Fatal("want snapshot")
-	}
-	if len(rs.Commands) != 1 || rs.Commands[0].Type != RecordSteps || rs.Commands[0].Steps.K != 4 {
-		t.Fatalf("tail = %+v", rs.Commands)
-	}
-}
-
-func TestExportSessionRefusesTornTail(t *testing.T) {
-	st, l := exportFixture(t, false)
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	walPath := filepath.Join(st.Root(), "s-000001", "wal")
-	data, err := os.ReadFile(walPath)
+	return st, snapFile(t, st, "s-000001")
+}
+
+func snapFile(t *testing.T, st *Store, id string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(st.Root(), id, snapName))
 	if err != nil {
-		t.Fatalf("reading wal: %v", err)
+		t.Fatalf("reading snap file: %v", err)
 	}
-	if err := os.WriteFile(walPath, data[:len(data)-3], 0o644); err != nil {
-		t.Fatalf("tearing wal: %v", err)
+	return b
+}
+
+// TestSnapshotFileRoundTrip pins the migration payload: the bytes of a
+// snap file decode, and re-encode byte for byte.
+func TestSnapshotFileRoundTrip(t *testing.T) {
+	_, b := exportFixture(t)
+	snap, err := DecodeSnapshot(b)
+	if err != nil {
+		t.Fatalf("DecodeSnapshot: %v", err)
 	}
-	if _, err := st.ExportSession("s-000001"); err == nil {
-		t.Fatal("export of a torn wal must fail")
+	if snap.Seq != 2 || snap.Create != (CreateCommand{Alg: "alg2", T: 5, G: 7}) || len(snap.Jobs) != 2 {
+		t.Fatalf("decoded %+v", snap)
+	}
+	again, err := EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatalf("EncodeSnapshot: %v", err)
+	}
+	if !bytes.Equal(again, b) {
+		t.Fatalf("re-encoded %x, want %x", again, b)
 	}
 }
 
 func TestImportSessionRoundTrip(t *testing.T) {
-	for _, snapshotted := range []bool{false, true} {
-		src, _ := exportFixture(t, snapshotted)
-		rs, err := src.ExportSession("s-000001")
-		if err != nil {
-			t.Fatalf("ExportSession: %v", err)
-		}
-		dst, err := Open(t.TempDir(), Options{})
-		if err != nil {
-			t.Fatalf("Open dst: %v", err)
-		}
-		l, err := dst.ImportSession("s-000001", rs.Create, rs.Snap, rs.Commands)
-		if err != nil {
-			t.Fatalf("ImportSession(snapshotted=%v): %v", snapshotted, err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		rec, err := dst.Recover()
-		if err != nil {
-			t.Fatalf("Recover: %v", err)
-		}
-		if len(rec.Failed) != 0 || len(rec.Sessions) != 1 {
-			t.Fatalf("recovery = %d sessions, %d failed", len(rec.Sessions), len(rec.Failed))
-		}
-		got := rec.Sessions[0]
-		if got.Create != rs.Create {
-			t.Fatalf("create = %+v, want %+v", got.Create, rs.Create)
-		}
-		if (got.Snap != nil) != snapshotted {
-			t.Fatalf("snapshotted=%v but recovered snap = %+v", snapshotted, got.Snap)
-		}
-		if len(got.Commands) != len(rs.Commands) {
-			t.Fatalf("replay tail has %d commands, want %d", len(got.Commands), len(rs.Commands))
-		}
-		for i := range got.Commands {
-			if got.Commands[i].Type != rs.Commands[i].Type {
-				t.Fatalf("command %d type = %d, want %d", i, got.Commands[i].Type, rs.Commands[i].Type)
-			}
-		}
-		if err := got.Log.Close(); err != nil {
-			t.Fatalf("closing recovered log: %v", err)
-		}
+	_, b := exportFixture(t)
+	snap, err := DecodeSnapshot(b)
+	if err != nil {
+		t.Fatalf("DecodeSnapshot: %v", err)
+	}
+	want := *snap
+	dst, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatalf("Open dst: %v", err)
+	}
+	l, err := dst.ImportSession("s-000001", snap)
+	if err != nil {
+		t.Fatalf("ImportSession: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	rec, err := dst.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(rec.Failed) != 0 || len(rec.Sessions) != 1 {
+		t.Fatalf("recovery = %d sessions, %d failed", len(rec.Sessions), len(rec.Failed))
+	}
+	got := rec.Sessions[0]
+	defer got.Log.Close()
+	want.Seq = 1
+	if !reflect.DeepEqual(got.Snap, &want) || got.Create != want.Create {
+		t.Fatalf("recovered snap %+v create %+v, want %+v", got.Snap, got.Create, want)
+	}
+	if len(got.Commands) != 0 || got.Log.Seq() != 1 {
+		t.Fatalf("import left %d commands, seq %d; want none at seq 1", len(got.Commands), got.Log.Seq())
 	}
 }
 
 func TestImportSessionReplacesExistingDir(t *testing.T) {
-	src, _ := exportFixture(t, false)
-	rs, err := src.ExportSession("s-000001")
+	src, b := exportFixture(t)
+	snap, err := DecodeSnapshot(b)
 	if err != nil {
-		t.Fatalf("ExportSession: %v", err)
+		t.Fatalf("DecodeSnapshot: %v", err)
 	}
-	// Rollback re-imports over the settled remains of the same session.
-	l, err := src.ImportSession("s-000001", rs.Create, rs.Snap, rs.Commands)
+	// Rollback re-imports over the settled remains of the same session:
+	// the old WAL tail goes with them.
+	l, err := src.ImportSession("s-000001", snap)
 	if err != nil {
 		t.Fatalf("ImportSession over existing dir: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	rs2, err := src.ExportSession("s-000001")
+	rs, err := src.RecoverOne("s-000001")
 	if err != nil {
-		t.Fatalf("re-export: %v", err)
+		t.Fatalf("RecoverOne: %v", err)
 	}
-	if len(rs2.Commands) != len(rs.Commands) {
-		t.Fatalf("re-exported %d commands, want %d", len(rs2.Commands), len(rs.Commands))
+	defer rs.Log.Close()
+	if rs.Snap == nil || len(rs.Commands) != 0 {
+		t.Fatalf("re-imported session has snap %v and %d commands, want a snap and none", rs.Snap != nil, len(rs.Commands))
 	}
 }
 
-func TestImportSessionRejectsCreateInTail(t *testing.T) {
+func TestImportSessionRejectsBadSnapshot(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	cmds := []Command{{Type: RecordCreate, Create: &CreateCommand{Alg: "alg2", T: 1}}}
-	if _, err := st.ImportSession("s-000002", CreateCommand{Alg: "alg2", T: 1}, nil, cmds); err == nil {
-		t.Fatal("create record inside the tail must be rejected")
+	snap := &Snapshot{Create: CreateCommand{Alg: "alg2", T: 1}, Jobs: []JobRec{{ID: 3}}}
+	if _, err := st.ImportSession("s-000002", snap); err == nil {
+		t.Fatal("a non-dense job table must be rejected")
 	}
 	if ok, err := st.Exists("s-000002"); err != nil || ok {
 		t.Fatalf("failed import left a directory behind (ok=%v err=%v)", ok, err)
@@ -181,7 +149,7 @@ func TestImportSessionRejectsCreateInTail(t *testing.T) {
 }
 
 func TestExists(t *testing.T) {
-	st, _ := exportFixture(t, false)
+	st, _ := exportFixture(t)
 	if ok, err := st.Exists("s-000001"); err != nil || !ok {
 		t.Fatalf("Exists(s-000001) = %v, %v", ok, err)
 	}

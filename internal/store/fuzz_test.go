@@ -147,7 +147,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte(`{"v":1,"seq":7}`))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		snap, err := decodeSnapshot(appendRecord(nil, RecordSnapshot, 7, payload))
+		snap, err := DecodeSnapshot(appendRecord(nil, RecordSnapshot, 7, payload))
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped failure: %v", err)
@@ -167,7 +167,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 			return
 		}
-		up, err := decodeSnapshot(appendRecord(nil, RecordSnapshot, 7, again))
+		up, err := DecodeSnapshot(appendRecord(nil, RecordSnapshot, 7, again))
 		if err != nil {
 			t.Fatalf("upgraded v1 snapshot does not decode: %v", err)
 		}

@@ -52,9 +52,9 @@ type Command struct {
 	Steps    *StepsCommand
 }
 
-// snapshotVersion is the payload version WriteSnapshot emits. Version 1
+// snapshotVersion is the payload version EncodeSnapshot emits. Version 1
 // (JSON, engine state base64-encoded inside it) is still read, so data
-// dirs and exports from older nodes load; nothing writes it any more.
+// dirs from older nodes load; nothing writes it any more.
 //
 // Version 2 is binary, after the record frame (whose seq is the
 // snapshot's):
@@ -75,8 +75,8 @@ const snapshotVersion = 2
 
 // Snapshot captures a session's complete durable state at a log
 // position: WAL records with Seq <= Snapshot.Seq are reflected in it
-// and skipped on replay. The JSON tags are the v1 file format and the
-// migration wire format (server.ExportedSession).
+// and skipped on replay. The JSON tags are the v1 file format only;
+// migration ships the EncodeSnapshot bytes (server.ExportedSession).
 type Snapshot struct {
 	Version int    `json:"v"`
 	Seq     uint64 `json:"seq"`
@@ -84,9 +84,7 @@ type Snapshot struct {
 	// truncated log needs no create record.
 	Create CreateCommand `json:"create"`
 	// Engine is the engine's own state encoding (online.Snapshotter),
-	// opaque to the store. Empty means the engine does not support
-	// snapshots; such sessions never truncate their log and this file
-	// is never written.
+	// opaque to the store.
 	Engine []byte `json:"engine"`
 	// Jobs is the full accepted-job table, indexed by ID.
 	Jobs []JobRec `json:"jobs"`
@@ -142,9 +140,21 @@ func encodeSnapshot(snap *Snapshot) ([]byte, error) {
 	return b, nil
 }
 
-// decodeSnapshot parses a snapshot file's bytes: one RecordSnapshot
-// frame holding a v1 or v2 payload. Every failure wraps ErrCorrupt.
-func decodeSnapshot(data []byte) (*Snapshot, error) {
+// EncodeSnapshot returns the bytes of a snapshot file: one
+// RecordSnapshot frame, at snap.Seq, holding the v2 payload. Migration
+// ships these bytes as they are.
+func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
+	payload, err := encodeSnapshot(snap)
+	if err != nil {
+		return nil, fmt.Errorf("store: encoding snapshot: %w", err)
+	}
+	return appendRecord(nil, RecordSnapshot, snap.Seq, payload), nil
+}
+
+// DecodeSnapshot parses a snapshot file's bytes: one RecordSnapshot
+// frame holding a v1 or v2 payload that passes check. Every failure
+// wraps ErrCorrupt.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	rec, n, err := readRecord(data)
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot frame: %w", err)
@@ -224,5 +234,5 @@ func readSnapshot(path string) (*Snapshot, error) {
 		}
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
-	return decodeSnapshot(data)
+	return DecodeSnapshot(data)
 }

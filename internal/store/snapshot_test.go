@@ -123,7 +123,7 @@ func rawV2(n int, buffered ...[]byte) []byte {
 // must fail as ErrCorrupt, never half-decode.
 func TestSnapshotV2Rejects(t *testing.T) {
 	good := rawV2(3, []byte{0}, []byte{2}) // buffered 0, 2
-	snap, err := decodeSnapshot(appendRecord(nil, RecordSnapshot, 1, good))
+	snap, err := DecodeSnapshot(appendRecord(nil, RecordSnapshot, 1, good))
 	if err != nil {
 		t.Fatalf("hand-built payload: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestSnapshotV2Rejects(t *testing.T) {
 		{"buffered past table", string(rawV2(3, []byte{0}, []byte{6})), "out of table range"},
 		{"buffered negative", string(rawV2(3, []byte{1})), "out of table range"},
 	} {
-		_, err := decodeSnapshot(appendRecord(nil, RecordSnapshot, 1, []byte(tc.payload)))
+		_, err := DecodeSnapshot(appendRecord(nil, RecordSnapshot, 1, []byte(tc.payload)))
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		} else if !strings.Contains(err.Error(), tc.msg) {

@@ -238,11 +238,10 @@ func (l *Log) WriteSnapshot(snap *Snapshot) error {
 	}
 	snap.Version = snapshotVersion
 	snap.Seq = l.seq
-	payload, err := encodeSnapshot(snap)
+	buf, err := EncodeSnapshot(snap)
 	if err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", err)
+		return err
 	}
-	buf := appendRecord(nil, RecordSnapshot, l.seq, payload)
 
 	tmp := filepath.Join(l.dir, snapName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
