@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt vet lint lint-json test race fuzz experiments bench benchcheck solvebench calibperf calibperf-test arena serve loadtest crashtest clustersmoke ci
+.PHONY: all build fmt vet lint lint-json test race fuzz experiments bench benchcheck solvebench calibperf calibperf-test benchpairs arena serve loadtest crashtest clustersmoke ci
 
 all: ci
 
@@ -92,6 +92,16 @@ calibperf:
 # own module, so the root `go test ./...` never reaches it.
 calibperf-test:
 	cd bench && $(GO) test ./...
+
+# benchpairs judges this working tree against REF with N alternating
+# pairs of calibperf runs of one workload (scripts/benchpairs.sh): per
+# gated metric it prints both sides' median and quartiles and the change's
+# win count, then runs -compare on the merged samples.
+REF ?= HEAD
+WORKLOAD ?= stream-mem
+N ?= 10
+benchpairs:
+	bash scripts/benchpairs.sh $(REF) $(WORKLOAD) $(N)
 
 # arena regenerates the competitive-ratio leaderboard from the pinned
 # sweep twice, requires both regenerations byte-identical to the

@@ -71,7 +71,7 @@ func cliMain(args []string, stderr io.Writer, ctx context.Context) int {
 		maxSessions     = fs.Int("max-sessions", 1024, "maximum live sessions (creation beyond it gets 429)")
 		maxBuffer       = fs.Int("buffer", 4096, "per-session arrival buffer bound (fuller gets 429 + Retry-After)")
 		maxStepBatch    = fs.Int64("max-step-batch", 100_000, "maximum steps one request may simulate")
-		traceRing       = fs.Int("trace-ring", 1024, "per-session decision-event ring capacity for /v1/sessions/{id}/trace")
+		traceRing       = fs.Int("trace-ring", 1024, "per-session decision-event ring capacity for /v1/sessions/{id}/trace; the ring grows on demand up to it, dropping the oldest event once full")
 		idleTTL         = fs.Duration("idle-ttl", 10*time.Minute, "evict sessions idle this long (0 disables)")
 		shutdownTimeout = fs.Duration("shutdown-timeout", 10*time.Second, "grace period for draining on shutdown")
 		logLevel        = fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")

@@ -41,16 +41,23 @@ func (l *logBuffer) String() string {
 // logAddr extracts the "addr" attr of the first log record with the
 // given msg, or "".
 func logAddr(logs, msg string) string {
+	addr, _ := logRecord(logs, msg)
+	return addr
+}
+
+// logRecord finds the first log record with the given msg and returns
+// its "addr" attr.
+func logRecord(logs, msg string) (addr string, found bool) {
 	for _, line := range strings.Split(logs, "\n") {
 		var rec struct {
 			Msg  string `json:"msg"`
 			Addr string `json:"addr"`
 		}
 		if json.Unmarshal([]byte(line), &rec) == nil && rec.Msg == msg {
-			return rec.Addr
+			return rec.Addr, true
 		}
 	}
-	return ""
+	return "", false
 }
 
 // TestServeBootAndDrain drives a full daemon lifecycle on a random port:
@@ -73,6 +80,7 @@ func TestServeBootAndDrain(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon never became ready")
 	}
+	waitServing(t, logBuf, nil)
 	base := "http://" + addr
 
 	resp, err := http.Get(base + "/healthz")
@@ -245,22 +253,26 @@ func TestCLIDataDirError(t *testing.T) {
 	}
 }
 
-// waitForAddr polls the log buffer until the daemon reports its bound
-// API address.
-func waitForAddr(t *testing.T, buf *logBuffer, done chan int) string {
+// waitServing polls the log buffer until the daemon logs "serving" and
+// returns the bound API address from its "listening" record. The listener
+// opens before boot recovery, and until "serving" every /v1 request gets
+// bootHandler's 503, so a test that sends API requests must wait for
+// "serving", not "listening". A nil done never reports an early exit.
+func waitServing(t *testing.T, buf *logBuffer, done chan int) string {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if addr := logAddr(buf.String(), "listening"); addr != "" {
-			return addr
+		logs := buf.String()
+		if _, up := logRecord(logs, "serving"); up {
+			return logAddr(logs, "listening")
 		}
 		select {
 		case code := <-done:
-			t.Fatalf("daemon exited %d before listening:\n%s", code, buf.String())
+			t.Fatalf("daemon exited %d before serving:\n%s", code, buf.String())
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon never reported its address:\n%s", buf.String())
+			t.Fatalf("daemon never reported serving:\n%s", buf.String())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -298,7 +310,7 @@ func TestCLISlowBodyClientDisconnected(t *testing.T) {
 	go func() {
 		done <- cliMain([]string{"-addr", "127.0.0.1:0", "-read-timeout", "300ms"}, buf, ctx)
 	}()
-	addr := waitForAddr(t, buf, done)
+	addr := waitServing(t, buf, done)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -375,7 +387,7 @@ func testCLIRestartRecovers(t *testing.T, fsyncArgs []string, wantLog string) {
 
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	buf1, done1 := run(ctx1)
-	base := "http://" + waitForAddr(t, buf1, done1)
+	base := "http://" + waitServing(t, buf1, done1)
 	if !strings.Contains(buf1.String(), "persistence enabled") {
 		t.Errorf("no persistence-enabled log record:\n%s", buf1.String())
 	}
@@ -424,7 +436,7 @@ func testCLIRestartRecovers(t *testing.T, fsyncArgs []string, wantLog string) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	buf2, done2 := run(ctx2)
-	base2 := "http://" + waitForAddr(t, buf2, done2)
+	base2 := "http://" + waitServing(t, buf2, done2)
 	got := getBody(base2+"/v1/sessions/s-000001/schedule", 200)
 	if got != want {
 		t.Fatalf("schedule changed across restart\nbefore: %s\nafter:  %s", want, got)

@@ -178,14 +178,17 @@ func ruleName(alg string, tr Trigger) string {
 }
 
 // decisionTracer carries the per-run bookkeeping the emitters share: the
-// algorithm name for rule identifiers, G for accrued cost, and a sequence
-// counter. A nil *decisionTracer means tracing is off; emit call sites are
-// guarded so the untraced path pays only that nil check.
+// algorithm name, the rule identifier of each trigger (built once, so an
+// event neither allocates its rule string nor holds a private copy of it),
+// G for accrued cost, and a sequence counter. A nil *decisionTracer means
+// tracing is off; emit call sites are guarded so the untraced path pays
+// only that nil check.
 type decisionTracer struct {
-	sink trace.Sink
-	alg  string
-	g    int64
-	seq  int64
+	sink  trace.Sink
+	alg   string
+	rules [TriggerImmediate + 1]string
+	g     int64
+	seq   int64
 }
 
 // newDecisionTracer returns nil when sink is nil, collapsing the traced
@@ -194,7 +197,11 @@ func newDecisionTracer(sink trace.Sink, alg string, g int64) *decisionTracer {
 	if sink == nil {
 		return nil
 	}
-	return &decisionTracer{sink: sink, alg: alg, g: g}
+	d := &decisionTracer{sink: sink, alg: alg, g: g}
+	for tr := range d.rules {
+		d.rules[tr] = ruleName(alg, Trigger(tr))
+	}
+	return d
 }
 
 // emit records one calibration decision with a snapshot of the waiting
@@ -207,7 +214,7 @@ func (d *decisionTracer) emit(t int64, machine int, tr Trigger, q *queue.JobQueu
 		Time:            t,
 		Machine:         machine,
 		Alg:             d.alg,
-		Rule:            ruleName(d.alg, tr),
+		Rule:            d.rules[tr],
 		QueueLen:        q.Len(),
 		QueueWeight:     q.TotalWeight(),
 		ProspectiveFlow: q.FlowIfScheduledFrom(t),

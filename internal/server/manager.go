@@ -33,8 +33,9 @@ type Config struct {
 	// IdleTTL/4, clamped to [10ms, 30s]); tests shorten it.
 	JanitorInterval time.Duration
 	// TraceRing bounds each session's decision-event ring buffer served
-	// at GET /v1/sessions/{id}/trace (default 1024); when full, the
-	// oldest events are dropped and the drop count is reported.
+	// at GET /v1/sessions/{id}/trace (default 1024). The ring grows on
+	// demand up to the bound; when full, the oldest events are dropped
+	// and the drop count is reported.
 	TraceRing int
 	// SpanStoreSize bounds the node's request-trace store (in traces)
 	// served at GET /v1/traces (default 512). Negative disables span

@@ -9,6 +9,7 @@ import (
 
 	"calibsched/internal/core"
 	"calibsched/internal/online"
+	"calibsched/internal/par"
 	"calibsched/internal/server/metrics"
 	"calibsched/internal/store"
 	"calibsched/internal/trace"
@@ -290,10 +291,10 @@ func (s *session) apply(cmd store.Command) error {
 }
 
 // recoverSessions rebuilds every recoverable on-disk session before the
-// manager accepts traffic. Runs from NewManager, before any concurrent
-// access. Unrecoverable directories are logged, counted, and left on
-// disk for inspection; their IDs still advance the session numbering so
-// new sessions never collide with them.
+// manager accepts traffic, on GOMAXPROCS workers. Runs from NewManager,
+// before any concurrent access. Unrecoverable directories are logged,
+// counted, and left on disk for inspection; their IDs still advance the
+// session numbering so new sessions never collide with them.
 func (m *Manager) recoverSessions() error {
 	ids, err := m.cfg.Store.SessionIDs()
 	if err != nil {
@@ -314,10 +315,18 @@ func (m *Manager) recoverSessions() error {
 			"session", f.ID, "err", f.Err)
 		metrics.RecoveryFailed.Add(1)
 	}
+	// Snapshot restore and replay touch only their own session, so they
+	// run in parallel; logging, metrics and the session table follow in
+	// ID order.
 	now := time.Now()
+	built := make([]*session, len(rec.Sessions))
+	errs := make([]error, len(rec.Sessions))
+	par.Each(len(rec.Sessions), func(i int) {
+		built[i], errs[i] = m.rebuild(&rec.Sessions[i], now)
+	})
 	for i := range rec.Sessions {
 		rs := &rec.Sessions[i]
-		s, err := m.rebuild(rs, now)
+		s, err := built[i], errs[i]
 		if err != nil {
 			m.cfg.Logger.Warn("session replay failed; directory kept for inspection",
 				"session", rs.ID, "err", err)

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -193,5 +195,38 @@ func TestTraceUntracedRequestsRecordNothing(t *testing.T) {
 	}
 	if after := srv.spans.Stats().SpansAdded; after != mid {
 		t.Fatalf("reading traces added spans (%d -> %d)", mid, after)
+	}
+}
+
+// TestFreshSessionFootprint pins the decision ring's on-demand growth: a
+// fresh alg2 session holds no events yet, so it must not pay for the
+// ring's full default capacity (1024 events, 96 KiB) up front.
+func TestFreshSessionFootprint(t *testing.T) {
+	m, err := NewManager(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := m.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	const sessions = 256
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range sessions {
+		if _, err := m.Create(CreateSessionRequest{Alg: "alg2", T: 16, G: 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perSession := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / sessions
+	t.Logf("heap per fresh alg2 session: %d B", perSession)
+	if perSession > 8<<10 {
+		t.Fatalf("a fresh alg2 session holds %d B of heap, want <= 8 KiB", perSession)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"calibsched/internal/par"
 )
 
 // RecoveredSession is one session reconstructable from disk: its
@@ -54,9 +56,11 @@ type Recovery struct {
 // The group-commit journal's records are folded back into their session
 // WALs on the way (DESIGN.md §9): each session's files are read once,
 // its journal frames spliced in and the WAL fsynced within that read.
-// The journal is dropped only after every WAL it covers is durable; a
-// splice or fsync failure fails Recover and keeps the journal for the
-// next boot. Unconditional: the journal may be left over from a run with
+// Sessions are scanned in parallel on GOMAXPROCS workers; the result,
+// Failed order included, is that of a scan in ID order. The journal is
+// dropped only after every scan has finished and every WAL it covers is
+// durable; a splice or fsync failure fails Recover and keeps the journal
+// for the next boot. Unconditional: the journal may be left over from a run with
 // group commit enabled even if this boot disables it.
 func (s *Store) Recover() (*Recovery, error) {
 	journal, nonEmpty, err := s.readJournal()
@@ -67,19 +71,25 @@ func (s *Store) Recover() (*Recovery, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Sessions share no files, so their reads, splices and fsyncs can
+	// overlap; the outcomes are taken in ID order below.
+	scanned := make([]sessionScan, len(ids))
+	errs := make([]error, len(ids))
+	par.Each(len(ids), func(i int) {
+		scanned[i], errs[i] = s.scanSession(ids[i], journal[ids[i]])
+	})
 	rec := &Recovery{}
 	var scans []sessionScan
-	for _, id := range ids {
-		sc, err := s.scanSession(id, journal[id])
+	for i, id := range ids {
 		var merr mergeError
-		if errors.As(err, &merr) {
+		if errors.As(errs[i], &merr) {
 			return nil, fmt.Errorf("store: merging journal into session %s: %w", id, merr.err)
 		}
-		if err != nil {
-			rec.Failed = append(rec.Failed, FailedSession{ID: id, Err: err})
+		if errs[i] != nil {
+			rec.Failed = append(rec.Failed, FailedSession{ID: id, Err: errs[i]})
 			continue
 		}
-		scans = append(scans, sc)
+		scans = append(scans, scanned[i])
 	}
 	if nonEmpty {
 		// Every acknowledged record now rests durably in its session WAL;

@@ -61,25 +61,29 @@ func (r *Recorder) Emit(ev DecisionEvent) { r.events = append(r.events, ev) }
 func (r *Recorder) Events() []DecisionEvent { return r.events }
 
 // Ring is a bounded, concurrency-safe Sink holding the most recent events.
-// A full ring drops the oldest event per Emit and counts the drop, so a
-// long-lived session exposes its recent decision history at O(capacity)
-// memory. Writers (a session worker) and readers (the HTTP trace handler)
+// A full ring drops the oldest event per Emit and counts the drop. The
+// backing array starts empty and doubles as events arrive, never past the
+// capacity, so a session holds O(min(events, capacity)) memory: a short
+// session that opens a few calibrations pays for those, not for the whole
+// capacity. Writers (a session worker) and readers (the HTTP trace handler)
 // may race freely; a mutex serializes them.
 type Ring struct {
-	mu      sync.Mutex
-	buf     []DecisionEvent
-	start   int // index of the oldest event
-	n       int // events currently held
-	emitted int64
-	dropped int64
+	mu       sync.Mutex
+	buf      []DecisionEvent
+	capacity int
+	start    int // index of the oldest event
+	n        int // events currently held
+	emitted  int64
+	dropped  int64
 }
 
-// NewRing returns a ring holding at most capacity events (minimum 1).
+// NewRing returns a ring holding at most capacity events (minimum 1). It
+// allocates nothing until the first Emit.
 func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{buf: make([]DecisionEvent, capacity)}
+	return &Ring{capacity: capacity}
 }
 
 // Emit implements Sink.
@@ -87,6 +91,9 @@ func (r *Ring) Emit(ev DecisionEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.emitted++
+	if r.n == len(r.buf) && r.n < r.capacity {
+		r.grow()
+	}
 	if r.n == len(r.buf) {
 		r.buf[r.start] = ev
 		r.start = (r.start + 1) % len(r.buf)
@@ -95,6 +102,15 @@ func (r *Ring) Emit(ev DecisionEvent) {
 	}
 	r.buf[(r.start+r.n)%len(r.buf)] = ev
 	r.n++
+}
+
+// grow doubles the backing array, clamped to the capacity. Only a ring
+// full at capacity drops events and moves start, so a growing ring holds
+// its events from index 0.
+func (r *Ring) grow() {
+	buf := make([]DecisionEvent, min(max(2*len(r.buf), 1), r.capacity))
+	copy(buf, r.buf)
+	r.buf = buf
 }
 
 // Snapshot copies the buffered events oldest-first and reports how many
@@ -110,4 +126,4 @@ func (r *Ring) Snapshot() (events []DecisionEvent, emitted, dropped int64) {
 }
 
 // Capacity returns the maximum number of buffered events.
-func (r *Ring) Capacity() int { return len(r.buf) }
+func (r *Ring) Capacity() int { return r.capacity }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -43,6 +44,49 @@ func TestRingMinimumCapacity(t *testing.T) {
 	if len(events) != 1 || events[0].Seq != 2 || dropped != 1 {
 		t.Fatalf("got %d events (seq %d), dropped %d", len(events), events[0].Seq, dropped)
 	}
+}
+
+// TestRingReferenceModel checks the growing ring against a plain slice that
+// keeps every event: after n emits the snapshot is the last min(n, cap)
+// events in order, the counters match, Capacity reports the configured
+// value from the start, and the backing array never outgrows the capacity.
+func TestRingReferenceModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 1024} {
+		for _, n := range []int{0, capacity - 1, capacity, capacity + 1, 3*capacity + 2} {
+			r := NewRing(capacity)
+			if r.Capacity() != capacity {
+				t.Fatalf("cap %d: Capacity() = %d before the first Emit", capacity, r.Capacity())
+			}
+			var all []DecisionEvent
+			for i := 1; i <= n; i++ {
+				r.Emit(ev(int64(i)))
+				all = append(all, ev(int64(i)))
+				if cap(r.buf) > capacity {
+					t.Fatalf("cap %d: backing array holds %d slots after %d emits", capacity, cap(r.buf), i)
+				}
+			}
+			held := min(n, capacity)
+			want := all[n-held:]
+			events, emitted, dropped := r.Snapshot()
+			if emitted != int64(n) || dropped != int64(n-held) {
+				t.Fatalf("cap %d n %d: emitted %d dropped %d, want %d/%d", capacity, n, emitted, dropped, n, n-held)
+			}
+			if !reflect.DeepEqual(events, append([]DecisionEvent{}, want...)) {
+				t.Fatalf("cap %d n %d: snapshot %v, want %v", capacity, n, seqs(events), seqs(want))
+			}
+			if r.Capacity() != capacity {
+				t.Fatalf("cap %d n %d: Capacity() = %d", capacity, n, r.Capacity())
+			}
+		}
+	}
+}
+
+func seqs(events []DecisionEvent) []int64 {
+	out := make([]int64, len(events))
+	for i, e := range events {
+		out[i] = e.Seq
+	}
+	return out
 }
 
 // TestRingConcurrentAccess races a writer against snapshot readers; run
