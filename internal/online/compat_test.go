@@ -22,11 +22,6 @@ import (
 // schedules byte-identical to the same dir with version 2 snapshots and
 // to an uncrashed in-memory run.
 func TestRecoverV1Snapshots(t *testing.T) {
-	reqs := []server.CreateSessionRequest{
-		{Alg: "alg1", T: 5, G: 7},
-		{Alg: "alg2", T: 8, G: 20},
-		{Alg: "alg2", T: 3, G: 0},
-	}
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewPCG(12, uint64(trial)))
 		live := t.TempDir()
@@ -36,8 +31,8 @@ func TestRecoverV1Snapshots(t *testing.T) {
 		}
 		a := newManager(t, server.Config{Store: st, SnapshotEvery: 3})
 		ref := newManager(t, server.Config{})
-		ids := make([]string, len(reqs))
-		for i, req := range reqs {
+		d := &traffic{t: t, rng: rng, clocks: make([]int64, len(compatReqs))}
+		for _, req := range compatReqs {
 			info, err := a.Create(req)
 			if err != nil {
 				t.Fatal(err)
@@ -45,43 +40,9 @@ func TestRecoverV1Snapshots(t *testing.T) {
 			if _, err := ref.Create(req); err != nil {
 				t.Fatal(err)
 			}
-			ids[i] = info.ID
+			d.ids = append(d.ids, info.ID)
 		}
-		clocks := make([]int64, len(reqs))
-		drive := func(n int, ms ...*server.Manager) {
-			for range n {
-				i := rng.IntN(len(reqs))
-				var jobs []server.JobSpec
-				var k int64
-				if rng.IntN(2) == 0 {
-					for range 1 + rng.IntN(3) {
-						w := int64(1)
-						if reqs[i].Alg == "alg2" {
-							w = 1 + rng.Int64N(9)
-						}
-						jobs = append(jobs, server.JobSpec{Release: clocks[i] + rng.Int64N(20), Weight: w})
-					}
-				} else {
-					k = 1 + rng.Int64N(12)
-					clocks[i] += k
-				}
-				for _, m := range ms {
-					s, err := m.Get(ids[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if jobs != nil {
-						_, err = s.Arrivals(jobs, nil)
-					} else {
-						_, err = s.Step(k, 100_000, nil)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		drive(20+rng.IntN(40), a, ref)
+		d.drive(20+rng.IntN(40), a, ref)
 
 		// Every call has returned, so the live dir is quiescent: copy it
 		// as kill -9 would leave it, once as is and once downgraded.
@@ -102,13 +63,13 @@ func TestRecoverV1Snapshots(t *testing.T) {
 			}
 			defer rst.Close()
 			m := newManager(t, server.Config{Store: rst, SnapshotEvery: 3})
-			if m.Len() != len(reqs) {
-				t.Fatalf("trial %d: %s recovered %d of %d sessions", trial, dir, m.Len(), len(reqs))
+			if m.Len() != len(compatReqs) {
+				t.Fatalf("trial %d: %s recovered %d of %d sessions", trial, dir, m.Len(), len(compatReqs))
 			}
 			recovered = append(recovered, m)
 		}
-		drive(20, append(recovered, ref)...)
-		for _, id := range ids {
+		d.drive(20, append(recovered, ref)...)
+		for _, id := range d.ids {
 			want := schedule(t, ref, id)
 			for v, m := range recovered {
 				if got := schedule(t, m, id); got != want {
@@ -120,6 +81,123 @@ func TestRecoverV1Snapshots(t *testing.T) {
 			shutdown(t, m)
 		}
 	}
+}
+
+// compatReqs are the sessions of the compatibility tests and of the
+// testdata/v1-datadir fixture, in creation order.
+var compatReqs = []server.CreateSessionRequest{
+	{Alg: "alg1", T: 5, G: 7},
+	{Alg: "alg2", T: 8, G: 20},
+	{Alg: "alg2", T: 3, G: 0},
+}
+
+// traffic sends random arrivals and steps to the compatReqs sessions ids,
+// whose clocks it tracks, the same commands to every manager given.
+type traffic struct {
+	t      *testing.T
+	rng    *rand.Rand
+	ids    []string
+	clocks []int64
+}
+
+func (d *traffic) drive(n int, ms ...*server.Manager) {
+	t, rng := d.t, d.rng
+	for range n {
+		i := rng.IntN(len(d.ids))
+		var jobs []server.JobSpec
+		var k int64
+		if rng.IntN(2) == 0 {
+			for range 1 + rng.IntN(3) {
+				w := int64(1)
+				if compatReqs[i].Alg == "alg2" {
+					w = 1 + rng.Int64N(9)
+				}
+				jobs = append(jobs, server.JobSpec{Release: d.clocks[i] + rng.Int64N(20), Weight: w})
+			}
+		} else {
+			k = 1 + rng.Int64N(12)
+			d.clocks[i] += k
+		}
+		for _, m := range ms {
+			s, err := m.Get(d.ids[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jobs != nil {
+				_, err = s.Arrivals(jobs, nil)
+			} else {
+				_, err = s.Step(k, 100_000, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// groupCommit is the durable configuration of the v1 data dir test.
+var groupCommit = store.Options{Fsync: store.FsyncAlways, GroupCommit: true}
+
+// TestRecoverV1DataDir is the upgrade gate for binary command records.
+// testdata/v1-datadir was written under group commit by the release
+// before them, with the compatReqs sessions: JSON command records in the
+// WALs and in the journal, snapshots downgraded to version 1, and the
+// WAL of s-000002 emptied as a power loss leaves it, so only the journal
+// still holds that session's tail. It must recover into schedules
+// byte-identical to what an uncrashed in-memory run served
+// (v1-datadir.schedules.json). Commands after the upgrade are logged as
+// version 2 records behind the version 1 ones, in the WALs and in the
+// journal; a kill -9 image of that mixed dir must recover byte-identical
+// to the live node.
+func TestRecoverV1DataDir(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "v1-datadir.schedules.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	live := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "v1-datadir"), live)
+	st, err := store.Open(live, groupCommit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	m := newManager(t, server.Config{Store: st, SnapshotEvery: 5})
+	list := m.List().Sessions
+	if len(list) != len(compatReqs) || len(want) != len(compatReqs) {
+		t.Fatalf("recovered %d sessions, fixture has %d", len(list), len(want))
+	}
+	d := &traffic{t: t, rng: rand.New(rand.NewPCG(18, 2))}
+	for i, info := range list {
+		if info.Alg != compatReqs[i].Alg || info.T != compatReqs[i].T || info.G != compatReqs[i].G {
+			t.Fatalf("session %s is %+v, want %+v", info.ID, info, compatReqs[i])
+		}
+		if got := schedule(t, m, info.ID); got != want[info.ID] {
+			t.Fatalf("session %s diverged from the uncrashed run\ngot:  %s\nwant: %s", info.ID, got, want[info.ID])
+		}
+		d.ids = append(d.ids, info.ID)
+		d.clocks = append(d.clocks, info.Now)
+	}
+
+	d.drive(30, m)
+	crash := t.TempDir()
+	copyDir(t, live, crash)
+	cst, err := store.Open(crash, groupCommit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cst.Close()
+	rm := newManager(t, server.Config{Store: cst, SnapshotEvery: 5})
+	for _, id := range d.ids {
+		if got, want := schedule(t, rm, id), schedule(t, m, id); got != want {
+			t.Fatalf("session %s recovered from the mixed dir diverged\ngot:  %s\nwant: %s", id, got, want)
+		}
+	}
+	shutdown(t, rm)
+	shutdown(t, m)
 }
 
 // downgradeSnapshots rewrites every snapshot under root as version 1 and

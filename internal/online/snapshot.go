@@ -1,10 +1,11 @@
 package online
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"calibsched/internal/binenc"
 	"calibsched/internal/core"
@@ -97,11 +98,11 @@ func (s *Stepper) MarshalState() ([]byte, error) {
 		Triggers:     s.triggers,
 		Starts:       make([]startEntry, 0, len(s.starts)),
 	}
-	sort.Slice(st.Queue, func(a, b int) bool { return st.Queue[a].ID < st.Queue[b].ID })
+	slices.SortFunc(st.Queue, func(a, b core.Job) int { return cmp.Compare(a.ID, b.ID) })
 	for id, start := range s.starts {
 		st.Starts = append(st.Starts, startEntry{Job: id, Start: start})
 	}
-	sort.Slice(st.Starts, func(a, b int) bool { return st.Starts[a].Job < st.Starts[b].Job })
+	slices.SortFunc(st.Starts, func(a, b startEntry) int { return cmp.Compare(a.Job, b.Job) })
 	return encodeState(&st)
 }
 
@@ -263,6 +264,7 @@ func (s *Stepper) loadState(alg string, data []byte) error {
 	}
 	s.calendar = append(s.calendar[:0], st.Calendar...)
 	s.triggers = append(s.triggers[:0], st.Triggers...)
+	s.starts = make(map[int]int64, len(st.Starts))
 	for _, e := range st.Starts {
 		if e.Start < 0 || e.Start >= st.Now {
 			return fmt.Errorf("online: job %d started at %d outside [0,%d)", e.Job, e.Start, st.Now)

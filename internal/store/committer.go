@@ -25,8 +25,9 @@ import (
 // ~7x one fsync, while one fsync covering eight writes to a single file
 // costs ~1.6x — the journal turns N fsyncs into one, a per-file pass
 // only overlaps them. Recovery folds the journal's tail back into the
-// session WALs (see Recover in recover.go), so the journal is an
-// amortization detail, never the source of truth past boot.
+// session WALs (see Recover in recover.go) and hands those WALs to the
+// committer's dirty set, so the journal is an amortization detail, never
+// the source of truth past the next rotation.
 //
 // The batching window is opportunistic, not timed: the committer starts
 // a group the moment one request is available and folds in everything
@@ -59,12 +60,14 @@ const journalName = "commit.log"
 var ErrCommitterStopped = errors.New("store: group committer stopped")
 
 // commitReq is one record waiting to become durable: the framed bytes,
-// the log they extend, and the channel its owner blocks on. The buffer
-// is owned by the submitting worker, which is blocked until done is
-// signalled, so the committer may read it without copying but must not
-// retain it past the release.
+// the log they extend and its session ID, and the channel its owner
+// blocks on. The buffer is owned by the submitting worker, which is
+// blocked until done is signalled, so the committer may read it without
+// copying but must not retain it past the release. A tombstone has a
+// session ID but no log and no bytes.
 type commitReq struct {
 	log  *Log
+	sid  string
 	buf  []byte
 	n    int
 	err  error
@@ -85,6 +88,9 @@ type journal struct {
 	size   int64
 	broken error
 	buf    []byte
+	// rotateAt is the size past which the journal rotates
+	// (rotateJournalBytes; tests lower it to force rotations).
+	rotateAt int64
 	// dirty holds session logs with journal-covered records that have
 	// not been fsynced through their own file yet; rotation drains it.
 	dirty map[*Log]struct{}
@@ -94,11 +100,12 @@ type journal struct {
 // (FsyncAlways with group commit enabled); every Log the store opens
 // routes its appends through it.
 type Committer struct {
-	j    *journal
-	reqs chan *commitReq
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	j       *journal
+	reqs    chan *commitReq
+	adopted chan []*Log
+	stop    chan struct{}
+	done    chan struct{}
+	once    sync.Once
 
 	groups  atomic.Uint64
 	records atomic.Uint64
@@ -119,10 +126,12 @@ func newCommitter(root string) (*Committer, error) {
 		size = fi.Size()
 	}
 	c := &Committer{
-		j:    &journal{f: f, path: path, size: size, dirty: make(map[*Log]struct{})},
-		reqs: make(chan *commitReq, maxGroup),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		j: &journal{f: f, path: path, size: size, rotateAt: rotateJournalBytes,
+			dirty: make(map[*Log]struct{})},
+		reqs:    make(chan *commitReq, maxGroup),
+		adopted: make(chan []*Log),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	go c.run()
 	return c, nil
@@ -158,7 +167,31 @@ func (c *Committer) Records() uint64 { return c.records.Load() }
 // worker; at most one request per log is ever in flight, because that
 // worker is blocked right here until release.
 func (c *Committer) commit(l *Log, buf []byte) (int, error) {
-	req := &commitReq{log: l, buf: buf, done: make(chan struct{})}
+	return c.submit(&commitReq{log: l, sid: l.sid, buf: buf, done: make(chan struct{})})
+}
+
+// tombstone commits a journal entry that ends session sid's history in
+// the journal: recovery drops every earlier entry of sid, so a later
+// session with the same ID never receives them. Store.Remove calls it.
+func (c *Committer) tombstone(sid string) error {
+	_, err := c.submit(&commitReq{sid: sid, done: make(chan struct{})})
+	return err
+}
+
+// adopt adds logs to the dirty set: Recover hands over the WALs it
+// spliced journal frames into without an fsync, so the next rotation
+// syncs them before it truncates the journal.
+func (c *Committer) adopt(logs []*Log) {
+	select {
+	case c.adopted <- logs:
+	case <-c.done:
+		// A stopped committer never rotates; the journal it leaves
+		// behind still covers these WALs.
+	}
+}
+
+// submit queues req and blocks until its group is durable (or failed).
+func (c *Committer) submit(req *commitReq) (int, error) {
 	select {
 	case c.reqs <- req:
 	case <-c.done:
@@ -189,6 +222,10 @@ func (c *Committer) run() {
 		select {
 		case req := <-c.reqs:
 			c.commitGroup(c.collect(req))
+		case logs := <-c.adopted:
+			for _, l := range logs {
+				c.j.dirty[l] = struct{}{}
+			}
 		case <-c.stop:
 			c.failPending()
 			return
@@ -258,14 +295,16 @@ func (c *Committer) commitGroup(batch []*commitReq) {
 			r.err = j.broken
 			continue
 		}
-		if err := r.log.writeFrame(r.buf); err != nil {
-			r.err = err
-			continue
+		if r.log != nil {
+			if err := r.log.writeFrame(r.buf); err != nil {
+				r.err = err
+				continue
+			}
+			logs[r.log] = struct{}{}
 		}
 		j.seq++
-		j.buf = appendGroupEntry(j.buf, j.seq, r.log.sid, r.buf)
+		j.buf = appendGroupEntry(j.buf, j.seq, r.sid, r.buf)
 		good = append(good, r)
-		logs[r.log] = struct{}{}
 		r.n = len(r.buf)
 	}
 
@@ -277,7 +316,9 @@ func (c *Committer) commitGroup(batch []*commitReq) {
 		if err != nil {
 			j.broken = fmt.Errorf("store: group journal failed: %w", err)
 			for _, r := range good {
-				r.log.poison(j.broken)
+				if r.log != nil {
+					r.log.poison(j.broken)
+				}
 				r.err = j.broken
 			}
 			good = nil
@@ -300,7 +341,7 @@ func (c *Committer) commitGroup(batch []*commitReq) {
 	// commitGroup directly) sees a quiescent journal. The next group
 	// could not start during the rotation anyway, so this costs no
 	// throughput — only the rare over-threshold group waits out the pass.
-	if j.broken == nil && j.size > rotateJournalBytes {
+	if j.broken == nil && j.size > j.rotateAt {
 		c.rotate()
 	}
 	for _, r := range batch {

@@ -141,7 +141,7 @@ func TestGroupSyncErrorFansOut(t *testing.T) {
 		l.seq++
 		batch[i] = &commitReq{
 			log:  l,
-			buf:  appendRecord(nil, RecordSteps, l.seq, []byte(`{"k":1}`)),
+			buf:  appendRecord(nil, recordV1, RecordSteps, l.seq, []byte(`{"k":1}`)),
 			done: make(chan struct{}),
 		}
 	}
@@ -182,53 +182,92 @@ func TestGroupSyncErrorFansOut(t *testing.T) {
 // for group commit: session WAL writes are acknowledged without their
 // own fsync, so after a power loss the WAL file may be missing records
 // the client was told are durable. The journal — fsynced per group —
-// must restore them. Simulated by truncating the WAL behind the
-// store's back and recovering twice (double-crash idempotence).
+// must restore them. A group-commit boot splices them back unsynced and
+// keeps the journal, so a second power loss before any rotation loses
+// the spliced bytes too, and the journal must restore them again. The
+// next rotation fsyncs every WAL the boot spliced, the idle ones
+// included, before it truncates the journal; the WALs alone then
+// recover the same commands.
 func TestJournalRestoresLostWalTail(t *testing.T) {
 	const steps = 5
 	s := openTestStore(t, Options{Fsync: FsyncAlways, GroupCommit: true})
 	defer s.Close()
-	l, err := s.Create("s-000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AppendCreate(CreateCommand{Alg: "alg2", T: 5, G: 10}); err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= steps; k++ {
-		if _, err := l.AppendSteps(StepsCommand{K: int64(k)}); err != nil {
+	ids := []string{"s-000001", "s-000002"}
+	for _, id := range ids {
+		l, err := s.Create(id)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	l.Abort()
-
-	// Power loss: the WAL's unsynced pages never reached the platter.
-	walPath := l.Dir() + "/" + walName
-	if err := os.Truncate(walPath, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	for pass := 1; pass <= 2; pass++ {
-		rec := recoverOne(t, s)
-		if len(rec.Failed) != 0 || len(rec.Sessions) != 1 {
-			t.Fatalf("pass %d: recovered %d sessions, %d failed: %+v",
-				pass, len(rec.Sessions), len(rec.Failed), rec.Failed)
+		if _, err := l.AppendCreate(CreateCommand{Alg: "alg2", T: 5, G: 10}); err != nil {
+			t.Fatal(err)
 		}
-		rs := rec.Sessions[0]
-		if len(rs.Commands) != steps {
-			t.Fatalf("pass %d: recovered %d commands, want %d", pass, len(rs.Commands), steps)
-		}
-		for k, cmd := range rs.Commands {
-			if cmd.Steps == nil || cmd.Steps.K != int64(k+1) {
-				t.Fatalf("pass %d: command %d = %+v, want K=%d", pass, k, cmd, k+1)
+		for k := 1; k <= steps; k++ {
+			if _, err := l.AppendSteps(StepsCommand{K: int64(k)}); err != nil {
+				t.Fatal(err)
 			}
 		}
-		rs.Log.Abort() // keep the on-disk state as the merge left it
+		l.Abort()
+	}
+	journal := filepath.Join(s.Root(), journalName)
+	size := fileSize(t, journal)
+
+	// recoverAll recovers both sessions and checks each replays steps
+	// 1..want[i].
+	recoverAll := func(boot string, want ...int) *Recovery {
+		t.Helper()
+		rec := recoverOne(t, s)
+		if len(rec.Failed) != 0 || len(rec.Sessions) != len(ids) {
+			t.Fatalf("%s: recovered %d sessions, %d failed: %+v", boot, len(rec.Sessions), len(rec.Failed), rec.Failed)
+		}
+		for i, rs := range rec.Sessions {
+			if len(rs.Commands) != want[i] {
+				t.Fatalf("%s: session %s recovered %d commands, want %d", boot, rs.ID, len(rs.Commands), want[i])
+			}
+			for k, cmd := range rs.Commands {
+				if cmd.Steps == nil || cmd.Steps.K != int64(k+1) {
+					t.Fatalf("%s: session %s command %d = %+v, want K=%d", boot, rs.ID, k, cmd, k+1)
+				}
+			}
+		}
+		return rec
+	}
+	for pass := 1; pass <= 2; pass++ {
+		// Power loss: the WALs' unsynced pages never reached the platter,
+		// the previous boot's splice included.
+		for _, id := range ids {
+			if err := os.Truncate(filepath.Join(s.Root(), id, walName), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rs := range recoverAll(fmt.Sprintf("boot %d", pass), steps, steps).Sessions {
+			rs.Log.Abort()
+		}
+		if got := fileSize(t, journal); got != size {
+			t.Fatalf("boot %d changed the journal from %d to %d bytes", pass, size, got)
+		}
 	}
 
-	// The merge made the journal's copies redundant and dropped them.
-	if fi, err := os.Stat(s.Root() + "/" + journalName); err != nil || fi.Size() != 0 {
-		t.Fatalf("journal not truncated after merge: %v, size %d", err, fi.Size())
+	rec := recoverAll("boot 3", steps, steps)
+	idle, busy := rec.Sessions[0].Log, rec.Sessions[1].Log
+	synced := false
+	idle.syncf = func() error {
+		synced = true
+		return idle.f.Sync()
+	}
+	s.Committer().j.rotateAt = 0 // rotate after the next group
+	if _, err := busy.AppendSteps(StepsCommand{K: steps + 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !synced {
+		t.Fatal("rotation did not fsync the idle session's spliced WAL")
+	}
+	if got := fileSize(t, journal); got != 0 {
+		t.Fatalf("journal holds %d bytes after the rotation", got)
+	}
+	idle.Abort()
+	busy.Abort()
+	for _, rs := range recoverAll("boot after the rotation", steps, steps+1).Sessions {
+		rs.Log.Abort()
 	}
 }
 
@@ -260,7 +299,7 @@ func TestJournalTornTailIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry := appendGroupEntry(nil, 99, "s-000001", appendRecord(nil, RecordSteps, 9, []byte(`{"k":9}`)))
+	entry := appendGroupEntry(nil, 99, "s-000001", appendRecord(nil, recordV1, RecordSteps, 9, []byte(`{"k":9}`)))
 	if _, err := jf.Write(entry[:len(entry)/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -341,24 +380,35 @@ func TestJournalSplicesAboveSnapshot(t *testing.T) {
 
 // TestJournalSplicedBehindCorruptSnapshot: a session whose snapshot is
 // corrupt fails recovery, but still gets its journal frames spliced into
-// the WAL kept for inspection before the journal is dropped.
+// the WAL kept for inspection, and fsynced there, since no Log takes it
+// to a rotation. A boot with group commit keeps the journal; a boot
+// without it drops the journal after the merge.
 func TestJournalSplicedBehindCorruptSnapshot(t *testing.T) {
-	s := openTestStore(t, Options{Fsync: FsyncAlways, GroupCommit: true})
-	defer s.Close()
-	dir := journaledSession(t, s)
-	if err := os.WriteFile(filepath.Join(dir, snapName), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, group := range []bool{true, false} {
+		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
+			s := openTestStore(t, Options{Fsync: FsyncAlways, GroupCommit: true})
+			dir := journaledSession(t, s)
+			s.Close()
+			if err := os.WriteFile(filepath.Join(dir, snapName), []byte("garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			boot, err := Open(s.Root(), Options{Fsync: FsyncAlways, GroupCommit: group})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer boot.Close()
 
-	rec := recoverOne(t, s)
-	if len(rec.Sessions) != 0 || len(rec.Failed) != 1 {
-		t.Fatalf("recovered %d sessions, %d failed; want the session failed", len(rec.Sessions), len(rec.Failed))
-	}
-	if got := walSeqs(t, dir); !reflect.DeepEqual(got, []uint64{1, 2, 3, 4, 5, 6}) {
-		t.Fatalf("wal holds seqs %v after the merge, want the journal's 1..6", got)
-	}
-	if fileSize(t, filepath.Join(s.Root(), journalName)) != 0 {
-		t.Fatal("journal not truncated after the merge")
+			rec := recoverOne(t, boot)
+			if len(rec.Sessions) != 0 || len(rec.Failed) != 1 {
+				t.Fatalf("recovered %d sessions, %d failed; want the session failed", len(rec.Sessions), len(rec.Failed))
+			}
+			if got := walSeqs(t, dir); !reflect.DeepEqual(got, []uint64{1, 2, 3, 4, 5, 6}) {
+				t.Fatalf("wal holds seqs %v after the merge, want the journal's 1..6", got)
+			}
+			if kept := fileSize(t, filepath.Join(s.Root(), journalName)) != 0; kept != group {
+				t.Fatalf("journal kept = %v after a boot with group commit %v", kept, group)
+			}
+		})
 	}
 }
 
@@ -492,10 +542,10 @@ func TestTornMiddlePoisonsLog(t *testing.T) {
 // bytes must be identical to a fresh encode.
 func TestAppendRecordReusesScratch(t *testing.T) {
 	payload := []byte(`{"k":42}`)
-	fresh := appendRecord(nil, RecordSteps, 7, payload)
+	fresh := appendRecord(nil, recordV1, RecordSteps, 7, payload)
 	scratch := make([]byte, 0, 256)
 	allocs := testing.AllocsPerRun(100, func() {
-		scratch = appendRecord(scratch[:0], RecordSteps, 7, payload)
+		scratch = appendRecord(scratch[:0], recordV1, RecordSteps, 7, payload)
 	})
 	if allocs != 0 {
 		t.Fatalf("appendRecord into warm scratch allocates %.1f/op", allocs)
@@ -506,5 +556,129 @@ func TestAppendRecordReusesScratch(t *testing.T) {
 	rec, n, err := readRecord(scratch)
 	if err != nil || n != len(scratch) || rec.Seq != 7 || string(rec.Payload) != string(payload) {
 		t.Fatalf("round trip: rec=%+v n=%d err=%v", rec, n, err)
+	}
+}
+
+// TestRemoveEndsJournalHistory: the journal outlives boots under group
+// commit, so it can hold the records of a session that was removed while
+// a later session of the same ID logs its own. Recovery must give the
+// later session none of the earlier one's records: Remove commits a
+// tombstone behind them. Each case first logs and removes session x
+// (create, steps K=100..103).
+func TestRemoveEndsJournalHistory(t *testing.T) {
+	const id = "x"
+	removed := func(t *testing.T) *Store {
+		t.Helper()
+		s := openTestStore(t, Options{Fsync: FsyncAlways, GroupCommit: true})
+		t.Cleanup(s.Close)
+		l, err := s.Create(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.AppendCreate(CreateCommand{Alg: "alg2", T: 5, G: 10}); err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(100); k <= 103; k++ {
+			if _, err := l.AppendSteps(StepsCommand{K: k}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	t.Run("recreated", func(t *testing.T) {
+		s := removed(t)
+		l, err := s.Create(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.AppendCreate(CreateCommand{Alg: "alg2", T: 5, G: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.AppendSteps(StepsCommand{K: 7}); err != nil {
+			t.Fatal(err)
+		}
+		l.Abort()
+		// Power loss: only the journal still holds the new session's
+		// records, behind the old session's.
+		if err := os.Truncate(filepath.Join(l.Dir(), walName), 0); err != nil {
+			t.Fatal(err)
+		}
+		rec := recoverOne(t, s)
+		if len(rec.Sessions) != 1 {
+			t.Fatalf("recovered %d sessions, %d failed: %+v", len(rec.Sessions), len(rec.Failed), rec.Failed)
+		}
+		rs := rec.Sessions[0]
+		defer rs.Log.Close()
+		var ks []int64
+		for _, cmd := range rs.Commands {
+			ks = append(ks, cmd.Steps.K)
+		}
+		if !reflect.DeepEqual(ks, []int64{7}) || rs.Log.Seq() != 2 {
+			t.Fatalf("recovered steps %v to seq %d, want [7] to seq 2", ks, rs.Log.Seq())
+		}
+	})
+
+	t.Run("recreated-empty", func(t *testing.T) {
+		// A crash after the new directory exists but before its first
+		// record must not bring the old session back.
+		s := removed(t)
+		l, err := s.Create(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Abort()
+		rec := recoverOne(t, s)
+		if len(rec.Sessions) != 0 || len(rec.Failed) != 1 {
+			t.Fatalf("recovered %+v, failed %+v; want the empty session failed", rec.Sessions, rec.Failed)
+		}
+	})
+
+	t.Run("import", func(t *testing.T) {
+		s := removed(t)
+		l, err := s.ImportSession(id, sampleSnapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Abort()
+		rec := recoverOne(t, s)
+		if len(rec.Sessions) != 1 {
+			t.Fatalf("recovered %d sessions, %d failed: %+v", len(rec.Sessions), len(rec.Failed), rec.Failed)
+		}
+		rs := rec.Sessions[0]
+		defer rs.Log.Close()
+		if rs.Snap == nil || rs.Snap.Seq != 1 || len(rs.Commands) != 0 || rs.Log.Seq() != 1 {
+			t.Fatalf("imported session recovered snapshot %+v and %d commands to seq %d, want the snapshot at seq 1 alone",
+				rs.Snap, len(rs.Commands), rs.Log.Seq())
+		}
+	})
+}
+
+// TestJournalOrphansDropped: journal frames of a session with no
+// directory (a crash inside Remove before its tombstone, or a journal
+// from a release without tombstones) make a group-commit boot merge and
+// truncate the journal, so a later session of that ID cannot get them.
+func TestJournalOrphansDropped(t *testing.T) {
+	s := openTestStore(t, Options{Fsync: FsyncAlways, GroupCommit: true})
+	defer s.Close()
+	l := writeSession(t, s, "s-000001")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(l.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	rec := recoverOne(t, s)
+	if len(rec.Sessions)+len(rec.Failed) != 0 {
+		t.Fatalf("recovered %+v, failed %+v from an empty root", rec.Sessions, rec.Failed)
+	}
+	if got := fileSize(t, filepath.Join(s.Root(), journalName)); got != 0 {
+		t.Fatalf("journal holds %d bytes of a removed session after boot", got)
 	}
 }

@@ -31,14 +31,12 @@ func (s *Store) Exists(id string) (bool, error) {
 // sequence 1, and an empty WAL. Any existing directory for the id is
 // replaced: migration rollback re-imports a session over its own settled
 // remains, and the shipped state is by construction at least as new.
+// The replaced session goes through Remove, so none of its records left
+// in the group journal reach the import at recovery.
 // The returned Log is synced (per policy) and ready for the session's
 // persister to continue appending.
 func (s *Store) ImportSession(id string, snap *Snapshot) (*Log, error) {
-	dir, err := s.dir(id)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.RemoveAll(dir); err != nil {
+	if err := s.Remove(id); err != nil {
 		return nil, fmt.Errorf("store: clearing session dir for import: %w", err)
 	}
 	l, err := s.Create(id)
@@ -53,7 +51,7 @@ func (s *Store) ImportSession(id string, snap *Snapshot) (*Log, error) {
 		if cErr := l.Close(); cErr != nil {
 			err = fmt.Errorf("%w (and closing the partial wal: %v)", err, cErr)
 		}
-		if rmErr := os.RemoveAll(dir); rmErr != nil {
+		if rmErr := os.RemoveAll(l.Dir()); rmErr != nil {
 			err = fmt.Errorf("%w (and removing the partial dir: %v)", err, rmErr)
 		}
 		return nil, err

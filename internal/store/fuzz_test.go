@@ -20,9 +20,9 @@ func FuzzReadRecord(f *testing.F) {
 	// Seed with well-formed streams so the fuzzer starts from the
 	// interesting part of the space, plus canonical corruptions.
 	var good []byte
-	good = appendRecord(good, RecordCreate, 1, []byte(`{"alg":"alg2","t":5,"g":10}`))
-	good = appendRecord(good, RecordArrivals, 2, []byte(`{"jobs":[{"id":0,"release":0,"weight":3}]}`))
-	good = appendRecord(good, RecordSteps, 3, []byte(`{"k":4}`))
+	good = appendRecord(good, recordV1, RecordCreate, 1, []byte(`{"alg":"alg2","t":5,"g":10}`))
+	good = appendRecord(good, recordV1, RecordArrivals, 2, []byte(`{"jobs":[{"id":0,"release":0,"weight":3}]}`))
+	good = appendRecord(good, recordV1, RecordSteps, 3, []byte(`{"k":4}`))
 	f.Add(good)
 	f.Add(good[:len(good)-3])          // torn tail
 	f.Add(append(good, 0x01, 0x02))    // trailing garbage
@@ -31,7 +31,9 @@ func FuzzReadRecord(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, 64)) // zero-length body claims
 	flipped := append([]byte(nil), good...)
 	flipped[recordHeaderLen+bodyPrefixLen] ^= 0xff
-	f.Add(flipped) // checksum mismatch in record 1
+	f.Add(flipped)     // checksum mismatch in record 1
+	f.Add(binaryLog()) // the version 2 records the store writes
+	f.Add(append(good, binaryLog()...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, validLen, stop := ScanRecords(data)
@@ -55,6 +57,9 @@ func FuzzReadRecord(f *testing.F) {
 			if recs[i].Type < RecordCreate || recs[i].Type > RecordSnapshot {
 				t.Fatalf("record %d has invalid type %d", i, recs[i].Type)
 			}
+			if v := recs[i].Version; v != recordV1 && v != recordVersion {
+				t.Fatalf("record %d has invalid version %d", i, v)
+			}
 			if !bytes.Equal(recs[i].Payload, again[i].Payload) || recs[i].Seq != again[i].Seq {
 				t.Fatalf("record %d differs across scans", i)
 			}
@@ -69,8 +74,8 @@ func FuzzReadRecord(f *testing.F) {
 // in one pass.
 func FuzzRecoverSession(f *testing.F) {
 	var good []byte
-	good = appendRecord(good, RecordCreate, 1, []byte(`{"alg":"alg2","t":5,"g":10}`))
-	good = appendRecord(good, RecordSteps, 2, []byte(`{"k":4}`))
+	good = appendRecord(good, recordV1, RecordCreate, 1, []byte(`{"alg":"alg2","t":5,"g":10}`))
+	good = appendRecord(good, recordV1, RecordSteps, 2, []byte(`{"k":4}`))
 	f.Add(good, []byte{})
 	f.Add(good[:len(good)-1], []byte{})
 	f.Add([]byte{}, []byte{})
@@ -79,8 +84,13 @@ func FuzzRecoverSession(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tail := appendRecord(nil, RecordSteps, 4, []byte(`{"k":2}`))
-	f.Add(tail, appendRecord(nil, RecordSnapshot, 3, snap))
+	tail := appendRecord(nil, recordV1, RecordSteps, 4, []byte(`{"k":2}`))
+	f.Add(tail, appendRecord(nil, recordV1, RecordSnapshot, 3, snap))
+	v2 := binaryLog()
+	f.Add(v2, []byte{})
+	f.Add(v2[:len(v2)-1], []byte{})
+	f.Add(append(good, appendRecord(nil, recordVersion, RecordSteps, 3, StepsCommand{K: 2}.appendTo(nil))...), []byte{})
+	f.Add(appendRecord(nil, recordVersion, RecordSteps, 4, StepsCommand{K: 2}.appendTo(nil)), appendRecord(nil, recordV1, RecordSnapshot, 3, snap))
 
 	f.Fuzz(func(t *testing.T, wal, snap []byte) {
 		s := openTestStore(t, Options{})
@@ -147,7 +157,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte(`{"v":1,"seq":7}`))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		snap, err := DecodeSnapshot(appendRecord(nil, RecordSnapshot, 7, payload))
+		snap, err := DecodeSnapshot(appendRecord(nil, recordV1, RecordSnapshot, 7, payload))
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped failure: %v", err)
@@ -167,7 +177,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 			return
 		}
-		up, err := DecodeSnapshot(appendRecord(nil, RecordSnapshot, 7, again))
+		up, err := DecodeSnapshot(appendRecord(nil, recordV1, RecordSnapshot, 7, again))
 		if err != nil {
 			t.Fatalf("upgraded v1 snapshot does not decode: %v", err)
 		}
@@ -177,6 +187,14 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatalf("v1 snapshot %s upgraded to %s", want, got)
 		}
 	})
+}
+
+// binaryLog is a create, arrivals and steps record as the store writes
+// them: version 2 frames with binary payloads.
+func binaryLog() []byte {
+	b := appendRecord(nil, recordVersion, RecordCreate, 1, CreateCommand{Alg: "alg2", T: 5, G: 10}.appendTo(nil))
+	b = appendRecord(b, recordVersion, RecordArrivals, 2, ArrivalsCommand{Jobs: []JobRec{{ID: 0, Release: 0, Weight: 3}}}.appendTo(nil))
+	return appendRecord(b, recordVersion, RecordSteps, 3, StepsCommand{K: 4}.appendTo(nil))
 }
 
 func writeFile(s *Store, name string, data []byte) error {

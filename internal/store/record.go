@@ -12,10 +12,11 @@ import (
 //	offset 0  uint32 LE  length of body
 //	offset 4  uint32 LE  CRC32C (Castagnoli) of body
 //	offset 8  body:
-//	          [0]    uint8      format version (recordVersion)
+//	          [0]    uint8      format version (recordV1 or recordVersion)
 //	          [1]    uint8      record type
 //	          [2:10] uint64 LE  sequence number, strictly increasing
-//	          [10:]  payload    type-specific JSON
+//	          [10:]  payload    type-specific; for a command record, in
+//	                            the codec the version names (command.go)
 //
 // The CRC covers the whole body, so a flipped bit anywhere — version,
 // type, seq, or payload — is detected. Scanning stops at the first
@@ -40,13 +41,26 @@ const (
 	// only in the store-level commit.log, never in a session WAL. Its
 	// payload is [uint16 LE sid length][sid][complete session record
 	// frame] — the inner frame is byte-identical to what the session WAL
-	// received, so recovery can splice it straight in.
+	// received, so recovery can splice it straight in. An entry with no
+	// inner frame is a tombstone: Store.Remove commits one so recovery
+	// drops every earlier entry of that session ID.
 	RecordGroupEntry RecordType = 5
 )
 
-// recordVersion is the current framing version; readers reject anything
-// else (a future version would be migrated here).
-const recordVersion = 1
+// Frame versions; readers reject any other. The version of a command
+// record names its payload codec (command.go).
+const (
+	// recordV1 command payloads are JSON: still read, no longer written.
+	// Snapshot frames and journal entries, whose payloads carry their
+	// own format, are still written at version 1, so their bytes are
+	// what earlier releases wrote.
+	recordV1 = 1
+	// recordVersion is what command records are written at: binary
+	// payloads. A release older than this codec stops a WAL's scan at
+	// the first such record, as at a corrupt tail, so a data dir cannot
+	// be downgraded past it.
+	recordVersion = 2
+)
 
 const (
 	recordHeaderLen = 8  // length + crc
@@ -70,6 +84,7 @@ var ErrTornTail = errors.New("store: torn record at end of log")
 
 // Record is one decoded WAL frame.
 type Record struct {
+	Version byte
 	Type    RecordType
 	Seq     uint64
 	Payload []byte
@@ -79,11 +94,11 @@ type Record struct {
 // slice. The body is framed directly into buf with the CRC patched in
 // afterward, so encoding into a reused scratch buffer with sufficient
 // capacity allocates nothing.
-func appendRecord(buf []byte, typ RecordType, seq uint64, payload []byte) []byte {
+func appendRecord(buf []byte, version byte, typ RecordType, seq uint64, payload []byte) []byte {
 	base := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(bodyPrefixLen+len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // CRC placeholder
-	buf = append(buf, recordVersion, byte(typ))
+	buf = append(buf, version, byte(typ))
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = append(buf, payload...)
 	body := buf[base+recordHeaderLen:]
@@ -99,7 +114,7 @@ func appendGroupEntry(buf []byte, seq uint64, sid string, frame []byte) []byte {
 	base := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(bodyPrefixLen+2+len(sid)+len(frame)))
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // CRC placeholder
-	buf = append(buf, recordVersion, byte(RecordGroupEntry))
+	buf = append(buf, recordV1, byte(RecordGroupEntry))
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(sid)))
 	buf = append(buf, sid...)
@@ -140,7 +155,7 @@ func readRecord(data []byte) (Record, int, error) {
 	if crc32.Checksum(body, crcTable) != sum {
 		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	if body[0] != recordVersion {
+	if body[0] != recordV1 && body[0] != recordVersion {
 		return Record{}, 0, fmt.Errorf("%w: version %d", ErrCorrupt, body[0])
 	}
 	typ := RecordType(body[1])
@@ -148,6 +163,7 @@ func readRecord(data []byte) (Record, int, error) {
 		return Record{}, 0, fmt.Errorf("%w: type %d", ErrCorrupt, typ)
 	}
 	return Record{
+		Version: body[0],
 		Type:    typ,
 		Seq:     binary.LittleEndian.Uint64(body[2:]),
 		Payload: body[bodyPrefixLen:],

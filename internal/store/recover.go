@@ -1,12 +1,11 @@
 package store
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"calibsched/internal/par"
 )
@@ -54,14 +53,21 @@ type Recovery struct {
 // checksum-invalid record.
 //
 // The group-commit journal's records are folded back into their session
-// WALs on the way (DESIGN.md §9): each session's files are read once,
-// its journal frames spliced in and the WAL fsynced within that read.
-// Sessions are scanned in parallel on GOMAXPROCS workers; the result,
-// Failed order included, is that of a scan in ID order. The journal is
-// dropped only after every scan has finished and every WAL it covers is
-// durable; a splice or fsync failure fails Recover and keeps the journal
-// for the next boot. Unconditional: the journal may be left over from a run with
-// group commit enabled even if this boot disables it.
+// WALs on the way (DESIGN.md §9): each session's files are read once and
+// its journal frames spliced in within that read. Sessions are scanned
+// in parallel on GOMAXPROCS workers; the result, Failed order included,
+// is that of a scan in ID order. A splice failure fails Recover and
+// keeps the journal for the next boot.
+//
+// What happens to the journal then depends on this boot. With group
+// commit, the journal stays: the spliced WALs are not fsynced here but
+// handed, as the returned sessions' Logs, to the committer, whose next
+// rotation fsyncs them before it truncates the journal. Without group
+// commit (the journal may be left over from a run that had it), and
+// whenever the journal holds frames of a session that has no directory,
+// every WAL it covers is fsynced and the journal is then truncated. A
+// session that fails recovery after its splice has its WAL fsynced in
+// either case, since no Log carries it to a rotation.
 func (s *Store) Recover() (*Recovery, error) {
 	journal, nonEmpty, err := s.readJournal()
 	if err != nil {
@@ -71,12 +77,21 @@ func (s *Store) Recover() (*Recovery, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Frames without a directory are left by a crash inside Remove, or
+	// by a release that wrote no tombstones. Kept, they would be spliced
+	// into a later session of the same ID, so that journal is dropped.
+	keep := s.committer != nil
+	for sid := range journal {
+		if _, found := slices.BinarySearch(ids, sid); !found {
+			keep = false
+		}
+	}
 	// Sessions share no files, so their reads, splices and fsyncs can
 	// overlap; the outcomes are taken in ID order below.
 	scanned := make([]sessionScan, len(ids))
 	errs := make([]error, len(ids))
 	par.Each(len(ids), func(i int) {
-		scanned[i], errs[i] = s.scanSession(ids[i], journal[ids[i]])
+		scanned[i], errs[i] = s.scanSession(ids[i], journal[ids[i]], keep)
 	})
 	rec := &Recovery{}
 	var scans []sessionScan
@@ -91,7 +106,7 @@ func (s *Store) Recover() (*Recovery, error) {
 		}
 		scans = append(scans, scanned[i])
 	}
-	if nonEmpty {
+	if nonEmpty && !keep {
 		// Every acknowledged record now rests durably in its session WAL;
 		// drop the journal so the next recovery (or a live committer
 		// sharing this store in tests) starts from an empty one.
@@ -102,22 +117,40 @@ func (s *Store) Recover() (*Recovery, error) {
 			return nil, err
 		}
 	}
+	var spliced []*Log
 	for _, sc := range scans {
 		rs, err := s.reopen(sc)
 		if err != nil {
+			if sc.spliced {
+				// No Log takes this WAL to a rotation: sync it now.
+				if serr := syncFile(filepath.Join(s.root, sc.rs.ID, walName)); serr != nil {
+					for _, open := range rec.Sessions {
+						open.Log.Abort()
+					}
+					return nil, fmt.Errorf("store: merging journal into session %s: %w", sc.rs.ID, serr)
+				}
+			}
 			rec.Failed = append(rec.Failed, FailedSession{ID: sc.rs.ID, Err: err})
 			continue
 		}
+		if sc.spliced {
+			spliced = append(spliced, rs.Log)
+		}
 		rec.Sessions = append(rec.Sessions, *rs)
+	}
+	if len(spliced) > 0 {
+		s.committer.adopt(spliced)
 	}
 	return rec, nil
 }
 
 // readJournal groups the group-commit journal's entries by session, in
 // journal order. The frames are complete session records, byte-identical
-// to what each session WAL received. A torn journal tail is a crash
-// mid-group, none of whose records were acknowledged, and is discarded.
-// nonEmpty reports that the file holds bytes to truncate.
+// to what each session WAL received. A tombstone drops the frames its
+// session collected so far: they belong to an earlier session of the
+// same ID. A torn journal tail is a crash mid-group, none of whose
+// records were acknowledged, and is discarded. nonEmpty reports that the
+// file holds bytes to truncate.
 func (s *Store) readJournal() (frames map[string][][]byte, nonEmpty bool, err error) {
 	data, err := os.ReadFile(filepath.Join(s.root, journalName))
 	if err != nil && !os.IsNotExist(err) {
@@ -133,7 +166,11 @@ func (s *Store) readJournal() (frames map[string][][]byte, nonEmpty bool, err er
 		if err != nil {
 			break
 		}
-		frames[sid] = append(frames[sid], frame)
+		if len(frame) == 0 {
+			delete(frames, sid)
+		} else {
+			frames[sid] = append(frames[sid], frame)
+		}
 		off += n
 	}
 	return frames, len(data) > 0, nil
@@ -146,14 +183,11 @@ type mergeError struct{ err error }
 
 func (e mergeError) Error() string { return e.err.Error() }
 
-// spliceJournal appends to a session's WAL the journal frames it lacks
-// and fsyncs it, returning the WAL's bytes as they now stand. Frames at
-// or below the durable horizon (the snapshot's seq, or the last valid
+// spliceJournal appends to a session's WAL the journal frames it lacks,
+// unsynced, and returns the WAL's bytes as they now stand. Frames at or
+// below the durable horizon (the snapshot's seq, or the last valid
 // record the WAL already holds) are skipped; a torn WAL tail is cut
-// first so the spliced frames extend a valid prefix. The WAL is fsynced
-// even with nothing to splice, because the journal about to be
-// truncated may hold the only durable copy of records sitting in its
-// page cache.
+// first so the spliced frames extend a valid prefix.
 func spliceJournal(walPath string, data []byte, snapSeq uint64, frames [][]byte) ([]byte, error) {
 	last, validLen := snapSeq, 0
 	for validLen < len(data) {
@@ -172,31 +206,44 @@ func spliceJournal(walPath string, data []byte, snapSeq uint64, frames [][]byte)
 			last = rec.Seq
 		}
 	}
+	if len(missing) == 0 {
+		// A torn tail is left for the scan's usual truncation.
+		return data, nil
+	}
 	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("reopening wal: %w", err)
 	}
-	if len(missing) > 0 {
-		if validLen < len(data) {
-			// The WAL's own torn tail is superseded by the journal's
-			// complete copies. (With nothing to splice the tail is left
-			// for the scan's usual truncation.)
-			if err := f.Truncate(int64(validLen)); err != nil {
-				f.Close() //caliblint:allow durablesync -- the truncate error is surfaced and the journal kept; the next boot retries the merge
-				return nil, fmt.Errorf("cutting torn wal tail: %w", err)
-			}
+	if validLen < len(data) {
+		// The WAL's own torn tail is superseded by the journal's
+		// complete copies.
+		if err := f.Truncate(int64(validLen)); err != nil {
+			f.Close() //caliblint:allow durablesync -- the truncate error is surfaced and the journal kept; the next boot retries the merge
+			return nil, fmt.Errorf("cutting torn wal tail: %w", err)
 		}
-		if _, err := f.Write(missing); err != nil {
-			f.Close() //caliblint:allow durablesync -- the write error is surfaced and the journal kept; the next boot retries the merge
-			return nil, fmt.Errorf("splicing journal frames: %w", err)
-		}
-		data = append(data[:validLen:validLen], missing...)
+	}
+	if _, err := f.Write(missing); err != nil {
+		f.Close() //caliblint:allow durablesync -- the write error is surfaced and the journal kept; the next boot retries the merge
+		return nil, fmt.Errorf("splicing journal frames: %w", err)
+	}
+	return append(data[:validLen:validLen], missing...), f.Close()
+}
+
+// syncFile fsyncs the file at path. A missing file holds nothing to make
+// durable.
+func syncFile(path string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close() //caliblint:allow durablesync -- the sync error is surfaced and the journal kept; the next boot retries the merge
-		return nil, fmt.Errorf("syncing merged wal: %w", err)
+		f.Close() //caliblint:allow durablesync -- the sync error is surfaced; nothing was written through this handle
+		return err
 	}
-	return data, f.Close()
+	return f.Close()
 }
 
 // RecoverOne rebuilds a single session directory — Recover scoped to one
@@ -204,7 +251,7 @@ func spliceJournal(walPath string, data []byte, snapSeq uint64, frames [][]byte)
 // failed migration export) without rescanning, or touching the open
 // logs of, every other session under the root.
 func (s *Store) RecoverOne(id string) (*RecoveredSession, error) {
-	sc, err := s.scanSession(id, nil)
+	sc, err := s.scanSession(id, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -212,12 +259,14 @@ func (s *Store) RecoverOne(id string) (*RecoveredSession, error) {
 }
 
 // sessionScan is one session directory decoded in memory: the recovered
-// state (without a Log yet), the seq of its last valid record, and the
-// byte length of the WAL's valid prefix.
+// state (without a Log yet), the seq of its last valid record, the byte
+// length of the WAL's valid prefix, and whether journal frames were
+// spliced into the WAL without an fsync.
 type sessionScan struct {
 	rs       *RecoveredSession
 	lastSeq  uint64
 	validLen int
+	spliced  bool
 }
 
 // reopen cuts a scanned session's torn WAL tail and reopens the WAL for
@@ -240,10 +289,13 @@ func (s *Store) reopen(sc sessionScan) (*RecoveredSession, error) {
 // scanSession reads one session directory's snapshot and WAL once, and
 // decodes the snapshot and the WAL's decodable command prefix. With
 // journal frames it first splices them into the WAL (spliceJournal),
-// failing with a mergeError if that fails. Without, it modifies nothing
-// on disk: it is also the read path of migration export, which ships the
-// state elsewhere and must leave the directory exactly as found.
-func (s *Store) scanSession(id string, journal [][]byte) (sessionScan, error) {
+// failing with a mergeError if that fails, and then fsyncs the WAL —
+// unless deferSync leaves that to the committer's next rotation and the
+// session recovers, which the scan reports as spliced. Without journal
+// frames it modifies nothing on disk: it is also the read path of
+// migration export, which ships the state elsewhere and must leave the
+// directory exactly as found.
+func (s *Store) scanSession(id string, journal [][]byte, deferSync bool) (sessionScan, error) {
 	dir, err := s.dir(id)
 	if err != nil {
 		return sessionScan{}, err
@@ -259,17 +311,35 @@ func (s *Store) scanSession(id string, journal [][]byte) (sessionScan, error) {
 		}
 		return sessionScan{}, err
 	}
-	if len(journal) > 0 {
-		// A corrupt snapshot contributes no horizon; the session still
-		// gets its frames, in the WAL kept for inspection.
-		var snapSeq uint64
-		if snap != nil {
-			snapSeq = snap.Seq
-		}
-		if data, err = spliceJournal(walPath, data, snapSeq, journal); err != nil {
-			return sessionScan{}, mergeError{err}
-		}
+	if len(journal) == 0 {
+		return decodeSession(id, snap, snapErr, data)
 	}
+	// A corrupt snapshot contributes no horizon; the session still gets
+	// its frames, in the WAL kept for inspection.
+	var snapSeq uint64
+	if snap != nil {
+		snapSeq = snap.Seq
+	}
+	if data, err = spliceJournal(walPath, data, snapSeq, journal); err != nil {
+		return sessionScan{}, mergeError{err}
+	}
+	sc, err := decodeSession(id, snap, snapErr, data)
+	if err == nil && deferSync {
+		sc.spliced = true
+		return sc, nil
+	}
+	// No rotation will sync this WAL: the boot drops the journal, or the
+	// session failed and no Log reaches the committer. The journal may
+	// hold the only durable copy of its records, spliced or not.
+	if serr := syncFile(walPath); serr != nil {
+		return sessionScan{}, mergeError{fmt.Errorf("syncing merged wal: %w", serr)}
+	}
+	return sc, err
+}
+
+// decodeSession decodes one session's snapshot and WAL bytes into its
+// recovered state, or fails it.
+func decodeSession(id string, snap *Snapshot, snapErr error, data []byte) (sessionScan, error) {
 	if snapErr != nil {
 		return sessionScan{}, snapErr
 	}
@@ -335,54 +405,4 @@ func (s *Store) scanSession(id string, journal [][]byte) (sessionScan, error) {
 		return sessionScan{}, fmt.Errorf("store: no create record survives")
 	}
 	return sessionScan{rs: rs, lastSeq: lastSeq, validLen: validLen}, nil
-}
-
-// decodeCommand parses a frame's payload per its type.
-func decodeCommand(frame Record) (Command, error) {
-	cmd := Command{Seq: frame.Seq, Type: frame.Type}
-	switch frame.Type {
-	case RecordCreate:
-		cmd.Create = &CreateCommand{}
-		if err := unmarshalStrict(frame.Payload, cmd.Create); err != nil {
-			return Command{}, err
-		}
-		if cmd.Create.Alg == "" || cmd.Create.T < 1 || cmd.Create.G < 0 {
-			return Command{}, fmt.Errorf("%w: create record alg=%q t=%d g=%d", ErrCorrupt,
-				cmd.Create.Alg, cmd.Create.T, cmd.Create.G)
-		}
-	case RecordArrivals:
-		cmd.Arrivals = &ArrivalsCommand{}
-		if err := unmarshalStrict(frame.Payload, cmd.Arrivals); err != nil {
-			return Command{}, err
-		}
-		if len(cmd.Arrivals.Jobs) == 0 {
-			return Command{}, fmt.Errorf("%w: empty arrivals record", ErrCorrupt)
-		}
-	case RecordSteps:
-		cmd.Steps = &StepsCommand{}
-		if err := unmarshalStrict(frame.Payload, cmd.Steps); err != nil {
-			return Command{}, err
-		}
-		if cmd.Steps.K < 1 {
-			return Command{}, fmt.Errorf("%w: steps record k=%d", ErrCorrupt, cmd.Steps.K)
-		}
-	default:
-		return Command{}, fmt.Errorf("%w: record type %d in wal", ErrCorrupt, frame.Type)
-	}
-	return cmd, nil
-}
-
-// unmarshalStrict decodes JSON rejecting unknown fields and trailing
-// data, so a payload that passed its checksum but does not match the
-// schema (a version skew bug) fails loudly instead of half-applying.
-func unmarshalStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
-	}
-	if dec.More() {
-		return fmt.Errorf("%w: trailing payload data", ErrCorrupt)
-	}
-	return nil
 }

@@ -9,49 +9,6 @@ import (
 	"calibsched/internal/binenc"
 )
 
-// Command payload schemas. These are the persistence wire format; the
-// serving layer converts to and from its own request types. All fields
-// are exact int64 quantities, matching internal/core's integer model.
-
-// CreateCommand is the payload of a session's first record: everything
-// needed to reconstruct a fresh engine.
-type CreateCommand struct {
-	// Alg names the engine backend (online.EngineNames).
-	Alg string `json:"alg"`
-	T   int64  `json:"t"`
-	G   int64  `json:"g"`
-}
-
-// JobRec is one job in an arrivals batch or a snapshot's job table. ID
-// is the server-assigned dense job ID; recovery asserts that replay
-// reassigns the same IDs (engines break ties on ID, so IDs are part of
-// the deterministic state).
-type JobRec struct {
-	ID      int   `json:"id"`
-	Release int64 `json:"release"`
-	Weight  int64 `json:"weight"`
-}
-
-// ArrivalsCommand is one accepted arrivals batch, in acceptance order.
-type ArrivalsCommand struct {
-	Jobs []JobRec `json:"jobs"`
-}
-
-// StepsCommand advances the session clock K steps.
-type StepsCommand struct {
-	K int64 `json:"k"`
-}
-
-// Command is one decoded WAL entry during recovery: exactly one of the
-// pointers is set, per Type.
-type Command struct {
-	Seq      uint64
-	Type     RecordType
-	Create   *CreateCommand
-	Arrivals *ArrivalsCommand
-	Steps    *StepsCommand
-}
-
 // snapshotVersion is the payload version EncodeSnapshot emits. Version 1
 // (JSON, engine state base64-encoded inside it) is still read, so data
 // dirs from older nodes load; nothing writes it any more.
@@ -148,7 +105,7 @@ func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding snapshot: %w", err)
 	}
-	return appendRecord(nil, RecordSnapshot, snap.Seq, payload), nil
+	return appendRecord(nil, recordV1, RecordSnapshot, snap.Seq, payload), nil
 }
 
 // DecodeSnapshot parses a snapshot file's bytes: one RecordSnapshot

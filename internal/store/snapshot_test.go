@@ -33,7 +33,7 @@ func writeV1Snapshot(t *testing.T, dir string, seq uint64, snap *Snapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapName), appendRecord(nil, RecordSnapshot, seq, payload), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapName), appendRecord(nil, recordV1, RecordSnapshot, seq, payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,7 +123,7 @@ func rawV2(n int, buffered ...[]byte) []byte {
 // must fail as ErrCorrupt, never half-decode.
 func TestSnapshotV2Rejects(t *testing.T) {
 	good := rawV2(3, []byte{0}, []byte{2}) // buffered 0, 2
-	snap, err := DecodeSnapshot(appendRecord(nil, RecordSnapshot, 1, good))
+	snap, err := DecodeSnapshot(appendRecord(nil, recordV1, RecordSnapshot, 1, good))
 	if err != nil {
 		t.Fatalf("hand-built payload: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestSnapshotV2Rejects(t *testing.T) {
 		{"buffered past table", string(rawV2(3, []byte{0}, []byte{6})), "out of table range"},
 		{"buffered negative", string(rawV2(3, []byte{1})), "out of table range"},
 	} {
-		_, err := DecodeSnapshot(appendRecord(nil, RecordSnapshot, 1, []byte(tc.payload)))
+		_, err := DecodeSnapshot(appendRecord(nil, recordV1, RecordSnapshot, 1, []byte(tc.payload)))
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		} else if !strings.Contains(err.Error(), tc.msg) {

@@ -204,7 +204,10 @@ func (s *Store) Create(id string) (*Log, error) {
 }
 
 // Remove deletes the session's on-disk state entirely (DELETE and
-// idle-TTL eviction). Removing an absent session is not an error.
+// idle-TTL eviction). Removing an absent session is not an error. With
+// group commit, the journal may still hold the session's records; Remove
+// then commits a tombstone behind them, so a later session with the same
+// ID does not get them spliced into its WAL at recovery.
 func (s *Store) Remove(id string) error {
 	dir, err := s.dir(id)
 	if err != nil {
@@ -213,7 +216,15 @@ func (s *Store) Remove(id string) error {
 	if err := os.RemoveAll(dir); err != nil {
 		return fmt.Errorf("store: removing session dir: %w", err)
 	}
-	return syncDir(s.root)
+	if err := syncDir(s.root); err != nil {
+		return err
+	}
+	if s.committer != nil {
+		if err := s.committer.tombstone(id); err != nil {
+			return fmt.Errorf("store: journaling the removal: %w", err)
+		}
+	}
+	return nil
 }
 
 // SessionIDs lists every session directory present under the root,

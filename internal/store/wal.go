@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,11 +38,12 @@ type Log struct {
 	// store-wide group commit instead of a per-record fsync.
 	committer *Committer
 
-	// frame is the record-framing scratch buffer, reused across appends
-	// so the steady-state append path allocates nothing. Safe because
-	// appends are serialized by the owning worker, and the committer
-	// only reads the frame while that worker is blocked waiting on it.
-	frame []byte
+	// payload and frame are the command-encoding and record-framing
+	// scratch buffers, reused across appends so the steady-state append
+	// path allocates nothing. Safe because appends are serialized by the
+	// owning worker, and the committer only reads the frame while that
+	// worker is blocked waiting on it.
+	payload, frame []byte
 
 	// writef and syncf, when non-nil, replace f.Write / f.Sync — test
 	// hooks for injecting short writes and sync failures.
@@ -136,7 +136,7 @@ func (l *Log) append(typ RecordType, payload []byte) (int, error) {
 		return 0, fmt.Errorf("store: log %s poisoned by earlier write failure: %w", l.dir, l.poisoned)
 	}
 	l.seq++
-	l.frame = appendRecord(l.frame[:0], typ, l.seq, payload)
+	l.frame = appendRecord(l.frame[:0], recordVersion, typ, l.seq, payload)
 
 	if l.committer != nil && l.fsync == FsyncAlways {
 		// Group-commit path: the committer performs both the write and
@@ -174,32 +174,26 @@ func (l *Log) append(typ RecordType, payload []byte) (int, error) {
 	return len(l.frame), nil
 }
 
-// appendJSON marshals a command payload and appends it.
-func (l *Log) appendJSON(typ RecordType, v any) (int, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return 0, fmt.Errorf("store: encoding record payload: %w", err)
-	}
-	return l.append(typ, payload)
-}
-
 // AppendCreate logs the session-create command; it must be the first
 // record of a fresh log.
 func (l *Log) AppendCreate(c CreateCommand) (int, error) {
 	if l.seq != 0 {
 		return 0, fmt.Errorf("store: create record after %d records", l.seq)
 	}
-	return l.appendJSON(RecordCreate, c)
+	l.payload = c.appendTo(l.payload[:0])
+	return l.append(RecordCreate, l.payload)
 }
 
 // AppendArrivals logs one accepted arrivals batch.
 func (l *Log) AppendArrivals(c ArrivalsCommand) (int, error) {
-	return l.appendJSON(RecordArrivals, c)
+	l.payload = c.appendTo(l.payload[:0])
+	return l.append(RecordArrivals, l.payload)
 }
 
 // AppendSteps logs one step command.
 func (l *Log) AppendSteps(c StepsCommand) (int, error) {
-	return l.appendJSON(RecordSteps, c)
+	l.payload = c.appendTo(l.payload[:0])
+	return l.append(RecordSteps, l.payload)
 }
 
 // Sync flushes buffered appends to stable storage regardless of policy.

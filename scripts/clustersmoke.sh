@@ -24,8 +24,19 @@ echo "clustersmoke: building calibserved and calibgate"
 go build -o "$WORKDIR/calibserved" ./cmd/calibserved
 go build -o "$WORKDIR/calibgate" ./cmd/calibgate
 
-# boot LOGFILE CMD [ARGS...]: starts a daemon and sets ADDR/PID from its
-# JSON "listening" log record.
+# ready LOGFILE CMD: whether the daemon CMD, logging to LOGFILE and
+# listening on ADDR, is ready: calibserved once it logs "serving" (boot
+# recovery is done; until then every /v1 request gets a 503), calibgate
+# once /healthz answers.
+ready() {
+    case "$2" in
+    *calibserved) grep -q '"msg":"serving"' "$1" ;;
+    *) curl -fsS "http://$ADDR/healthz" > /dev/null 2>&1 ;;
+    esac
+}
+
+# boot LOGFILE CMD [ARGS...]: starts a daemon, sets ADDR/PID from its
+# JSON "listening" log record, and waits until it is ready.
 boot() {
     LOG="$1"
     shift
@@ -37,12 +48,12 @@ boot() {
     i=0
     while [ $i -lt 100 ]; do
         ADDR=$(sed -n 's/.*"msg":"listening","addr":"\([^"]*\)".*/\1/p' "$LOG" | head -n 1)
-        [ -n "$ADDR" ] && break
+        [ -n "$ADDR" ] && ready "$LOG" "$1" && break
         kill -0 "$PID" 2>/dev/null || { echo "clustersmoke: daemon died during boot"; cat "$LOG"; exit 1; }
         sleep 0.1
         i=$((i + 1))
     done
-    [ -n "$ADDR" ] || { echo "clustersmoke: daemon never reported its address"; cat "$LOG"; exit 1; }
+    [ -n "$ADDR" ] && ready "$LOG" "$1" || { echo "clustersmoke: daemon never became ready"; cat "$LOG"; exit 1; }
 }
 
 boot "$WORKDIR/a.log" "$WORKDIR/calibserved" -addr 127.0.0.1:0 -data-dir "$WORKDIR/data-a" -fsync none

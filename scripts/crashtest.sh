@@ -21,8 +21,9 @@ trap cleanup EXIT INT TERM
 echo "crashtest: building calibserved"
 go build -o "$BIN" ./cmd/calibserved
 
-# boot LOGFILE DATADIR FSYNC: starts the daemon and sets ADDR/PID from
-# its JSON log.
+# boot LOGFILE DATADIR FSYNC: starts the daemon, sets ADDR/PID from its
+# JSON "listening" log record, and returns once it logs "serving": boot
+# recovery is done, and until then every /v1 request gets a 503.
 boot() {
     : > "$1"
     "$BIN" -addr 127.0.0.1:0 -data-dir "$2" -fsync "$3" -snapshot-every 5 2> "$1" &
@@ -31,12 +32,12 @@ boot() {
     i=0
     while [ $i -lt 100 ]; do
         ADDR=$(sed -n 's/.*"msg":"listening","addr":"\([^"]*\)".*/\1/p' "$1")
-        [ -n "$ADDR" ] && break
+        [ -n "$ADDR" ] && grep -q '"msg":"serving"' "$1" && break
         kill -0 "$PID" 2>/dev/null || { echo "crashtest: daemon died during boot"; cat "$1"; exit 1; }
         sleep 0.1
         i=$((i + 1))
     done
-    [ -n "$ADDR" ] || { echo "crashtest: daemon never reported its address"; cat "$1"; exit 1; }
+    [ -n "$ADDR" ] && grep -q '"msg":"serving"' "$1" || { echo "crashtest: daemon never reported serving"; cat "$1"; exit 1; }
     BASE="http://$ADDR"
 }
 
@@ -127,6 +128,10 @@ PID=""
 
 boot "$WORKDIR/boot4.log" "$DATA2" always
 echo "crashtest: recovered group-commit daemon at $BASE (pid $PID)"
+# A group-commit boot keeps the journal until its first rotation.
+[ -s "$DATA2/commit.log" ] || {
+    echo "crashtest: FAIL — group-commit boot dropped the journal"; exit 1;
+}
 i=1
 while [ $i -le 2 ]; do
     curl -fsS "$BASE/v1/sessions/s-00000$i/schedule" > "$WORKDIR/g_after_$i.json"
