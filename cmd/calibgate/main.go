@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"calibsched/internal/cluster"
+	"calibsched/internal/logsink"
 )
 
 // version identifies the build in calibgate_build_info; release tooling
@@ -55,6 +56,12 @@ func signalContext() context.Context {
 // cliMain parses flags and runs the gateway until ctx is cancelled.
 // Split from main so tests can drive a full boot/serve/drain cycle.
 func cliMain(args []string, stderr io.Writer, ctx context.Context) int {
+	// Everything written to stderr goes through the sink, so a message
+	// printed on any exit path lands after the access records buffered
+	// before it, and the deferred Close flushes the rest.
+	sink := logsink.New(stderr)
+	defer sink.Close()
+	stderr = sink
 	fs := flag.NewFlagSet("calibgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -101,11 +108,11 @@ func cliMain(args []string, stderr io.Writer, ctx context.Context) int {
 		fmt.Fprintf(stderr, "calibgate: bad -log-level %q (want debug, info, warn, or error)\n", *logLevel)
 		return 2
 	}
-	logger := slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: level}))
+	logger := slog.New(sink.Handler(&slog.HandlerOptions{Level: level}))
 	opts := cluster.Options{
 		Backends:       nodes,
 		VNodes:         *vnodes,
-		Client:         &http.Client{Timeout: *requestTimeout},
+		Client:         &http.Client{Transport: &cluster.Transport{Timeout: *requestTimeout}},
 		HealthInterval: *healthInterval,
 		ProbeTimeout:   *probeTimeout,
 		Retries:        *retries,

@@ -186,7 +186,8 @@ func (r *report) write(w io.Writer, cfg config) {
 // failures land in the report.
 func runLoad(cfg config) (*report, error) {
 	rep := &report{}
-	hc := &http.Client{Timeout: cfg.timeout}
+	hc := newHTTPClient(cfg)
+	defer hc.CloseIdleConnections()
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.sessions; i++ {
@@ -201,6 +202,19 @@ func runLoad(cfg config) (*report, error) {
 	wg.Wait()
 	rep.elapsedSec = time.Since(start).Seconds()
 	return rep, nil
+}
+
+// newHTTPClient sizes the connection pool to the sessions: each session
+// has at most one request in flight, so one connection per session
+// carries the whole run. The default transport keeps only two idle per
+// host, and without the per-host cap a request that overtakes its
+// session's connection on the way back to the pool dials another.
+func newHTTPClient(cfg config) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = cfg.sessions
+	tr.MaxIdleConnsPerHost = cfg.sessions
+	tr.MaxConnsPerHost = cfg.sessions
+	return &http.Client{Timeout: cfg.timeout, Transport: tr}
 }
 
 // driveSession runs one full session lifecycle against the daemon.

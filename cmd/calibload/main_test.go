@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,6 +107,39 @@ func TestRunLoadClusterMode(t *testing.T) {
 	rep.write(&out, cfg)
 	if !strings.Contains(out.String(), "migrations    2 sessions live-migrated") {
 		t.Errorf("report does not surface migrations:\n%s", out.String())
+	}
+}
+
+// TestRunLoadReusesConnections counts the daemon's accepted connections:
+// sessions each keep one request in flight, so a run needs no more
+// connections than sessions.
+func TestRunLoadReusesConnections(t *testing.T) {
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	cfg := config{
+		addr: ts.URL, sessions: 12, steps: 120, stepBatch: 4, jobs: 24,
+		alg: "alg2", t: 8, g: 24, seed: 11, verify: true,
+	}
+	rep, err := runLoad(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.errs) > 0 {
+		t.Fatalf("request errors: %v", rep.errs)
+	}
+	if n := opened.Load(); n > int64(cfg.sessions) {
+		t.Errorf("%d requests opened %d connections, want at most %d (one per session)", rep.requests, n, cfg.sessions)
 	}
 }
 

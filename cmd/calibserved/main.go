@@ -12,9 +12,11 @@
 //	curl -s localhost:8373/v1/sessions/s-000001/trace
 //	curl -s localhost:8373/metrics | grep calibserved
 //
-// All logging is structured JSON on stderr (one record per line). With
-// -debug-addr set, net/http/pprof and /debug/vars are served on that
-// separate listener so the profiling surface never shares the API port.
+// All logging is structured JSON on stderr (one record per line);
+// access records are written in batches at most 50 ms apart, every other
+// record at once (DESIGN.md §8). With -debug-addr set, net/http/pprof
+// and /debug/vars are served on that separate listener so the profiling
+// surface never shares the API port.
 //
 // cmd/calibload is the matching load generator; DESIGN.md §7 documents
 // the API schema and the backpressure contract, §8 the observability
@@ -40,6 +42,7 @@ import (
 	"syscall"
 	"time"
 
+	"calibsched/internal/logsink"
 	"calibsched/internal/online"
 	"calibsched/internal/server"
 	"calibsched/internal/server/metrics"
@@ -63,6 +66,12 @@ func signalContext() context.Context {
 // cliMain parses flags and runs the daemon until ctx is cancelled.
 // Split from main so tests can drive a full boot/serve/drain cycle.
 func cliMain(args []string, stderr io.Writer, ctx context.Context) int {
+	// Everything written to stderr goes through the sink, so a message
+	// printed on any exit path lands after the access records buffered
+	// before it, and the deferred Close flushes the rest.
+	sink := logsink.New(stderr)
+	defer sink.Close()
+	stderr = sink
 	fs := flag.NewFlagSet("calibserved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -121,7 +130,7 @@ func cliMain(args []string, stderr io.Writer, ctx context.Context) int {
 		fmt.Fprintf(stderr, "calibserved: bad -log-level %q (want debug, info, warn, or error)\n", *logLevel)
 		return 2
 	}
-	logger := slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: level}))
+	logger := slog.New(sink.Handler(&slog.HandlerOptions{Level: level}))
 	var st *store.Store
 	if *dataDir != "" {
 		// Open probes writability, so a missing or read-only data dir

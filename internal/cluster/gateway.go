@@ -30,8 +30,9 @@ type Options struct {
 	// VNodes is the ring's virtual-node count per backend (default
 	// DefaultVNodes).
 	VNodes int
-	// Client issues all backend requests (default http.DefaultClient;
-	// cmd/calibgate installs one with sane timeouts).
+	// Client issues all backend requests (default: one over a fresh
+	// Transport; cmd/calibgate installs one whose Transport carries
+	// -request-timeout).
 	Client *http.Client
 	// HealthInterval is the /readyz probe cadence; <= 0 disables probing
 	// and treats every member as ready (tests).
@@ -120,7 +121,7 @@ type gatewayMetrics struct {
 // health prober.
 func NewGateway(opts Options) (*Gateway, error) {
 	if opts.Client == nil {
-		opts.Client = http.DefaultClient
+		opts.Client = &http.Client{Transport: &Transport{}}
 	}
 	if opts.Retries == 0 {
 		opts.Retries = 2
@@ -186,9 +187,13 @@ func NewGateway(opts Options) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the health prober. In-flight proxied requests finish on
-// their own; the gateway holds nothing else.
-func (g *Gateway) Close() { g.health.Stop() }
+// Close stops the health prober and closes the client's idle backend
+// connections. In-flight proxied requests finish on their own; the
+// gateway holds nothing else.
+func (g *Gateway) Close() {
+	g.health.Stop()
+	g.client.CloseIdleConnections()
+}
 
 // Ring exposes the hash ring (tests and cmd wiring).
 func (g *Gateway) Ring() *Ring { return g.ring }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -152,6 +153,8 @@ func (h *Health) probe(node string) bool {
 	if err != nil {
 		return false
 	}
+	// Read the (small) body to its end so the connection can be reused.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
 }

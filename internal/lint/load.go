@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -181,6 +182,13 @@ func (l *Loader) parseDir(dir string, keep func(name string) bool) ([]*ast.File,
 			continue
 		}
 		if !keep(name) {
+			continue
+		}
+		// Check what the go tool builds here: a file excluded by a
+		// //go:build line or a GOOS/GOARCH suffix is not compiled.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

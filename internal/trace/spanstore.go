@@ -32,7 +32,13 @@ type SpanStore struct {
 	slow     time.Duration
 	node     string
 	traces   map[string]*storedTrace
-	order    []string // trace IDs, insertion order (eviction scans front)
+	// order holds traces in insertion order; evicted ones stay, their
+	// spans released, until the next compaction. Eviction only ever
+	// marks traces evicted and retention only ever sets, so two cursors
+	// advance monotonically: order[:head] is all evicted, order[:fresh]
+	// holds no live non-retained trace. Each eviction is O(1) amortised.
+	order       []*storedTrace
+	head, fresh int
 
 	added     int64 // spans accepted
 	truncated int64 // spans dropped by MaxSpansPerTrace
@@ -40,8 +46,10 @@ type SpanStore struct {
 }
 
 type storedTrace struct {
+	id       string
 	spans    []Span
 	retained bool
+	evicted  bool
 }
 
 // NewSpanStore builds a store holding at most capacity traces. Traces
@@ -77,9 +85,9 @@ func (s *SpanStore) Add(spans ...Span) {
 		}
 		tr := s.traces[sp.TraceID]
 		if tr == nil {
-			tr = &storedTrace{}
+			tr = &storedTrace{id: sp.TraceID}
 			s.traces[sp.TraceID] = tr
-			s.order = append(s.order, sp.TraceID)
+			s.order = append(s.order, tr)
 		}
 		if len(tr.spans) >= MaxSpansPerTrace {
 			s.truncated++
@@ -125,20 +133,31 @@ func (s *SpanStore) RecordPhase(sc SpanContext, phase string, start time.Time, d
 // evictLocked enforces the capacity bound: evict the oldest
 // non-retained trace first; when all are retained, the oldest outright.
 func (s *SpanStore) evictLocked() {
-	for len(s.order) > s.capacity {
-		victim := -1
-		for i, id := range s.order {
-			if !s.traces[id].retained {
-				victim = i
-				break
+	for len(s.traces) > s.capacity {
+		for s.fresh < len(s.order) && (s.order[s.fresh].evicted || s.order[s.fresh].retained) {
+			s.fresh++
+		}
+		victim := s.fresh
+		if victim == len(s.order) {
+			for s.order[s.head].evicted {
+				s.head++
+			}
+			victim = s.head
+		}
+		tr := s.order[victim]
+		tr.evicted, tr.spans = true, nil
+		delete(s.traces, tr.id)
+		s.evicted++
+	}
+	if len(s.order) > 2*s.capacity {
+		live := s.order[:0]
+		for _, tr := range s.order {
+			if !tr.evicted {
+				live = append(live, tr)
 			}
 		}
-		if victim < 0 {
-			victim = 0
-		}
-		delete(s.traces, s.order[victim])
-		s.order = append(s.order[:victim], s.order[victim+1:]...)
-		s.evicted++
+		clear(s.order[len(live):])
+		s.order, s.head, s.fresh = live, 0, 0
 	}
 }
 
@@ -181,10 +200,12 @@ func (s *SpanStore) Summaries() []TraceSummary {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]TraceSummary, 0, len(s.order))
-	for _, id := range s.order {
-		tr := s.traces[id]
-		sum := TraceSummary{TraceID: id, Spans: len(tr.spans), Retained: tr.retained}
+	out := make([]TraceSummary, 0, len(s.traces))
+	for _, tr := range s.order[s.head:] {
+		if tr.evicted {
+			continue
+		}
+		sum := TraceSummary{TraceID: tr.id, Spans: len(tr.spans), Retained: tr.retained}
 		local := make(map[string]bool, len(tr.spans))
 		for _, sp := range tr.spans {
 			local[sp.SpanID] = true
@@ -221,7 +242,7 @@ func (s *SpanStore) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return StoreStats{
-		Traces:          len(s.order),
+		Traces:          len(s.traces),
 		Capacity:        s.capacity,
 		SlowThresholdNS: s.slow.Nanoseconds(),
 		SpansAdded:      s.added,
