@@ -93,7 +93,7 @@ func cliMain(args []string, stderr io.Writer, ctx context.Context) int {
 		idleTimeout     = fs.Duration("idle-timeout", 2*time.Minute, "keep-alive connection idle timeout (0 means use read-timeout)")
 		solveWorkers    = fs.Int("solve-workers", 0, "concurrent exact-DP solves in the /v1/solve pool (0 = GOMAXPROCS)")
 		solveQueue      = fs.Int("solve-queue", 64, "queued /v1/solve requests before 429 backpressure")
-		solveCache      = fs.Int("solve-cache", 128, "solve result-cache capacity in entries (negative disables caching)")
+		solveCache      = fs.Int("solve-cache", 128, "solve result-cache capacity in entries (0 or negative disables caching)")
 		spanStore       = fs.Int("span-store", 512, "request-trace store capacity in traces for GET /v1/traces (negative disables span recording)")
 		slowThreshold   = fs.Duration("trace-slow-threshold", 250*time.Millisecond, "retain traces whose root span is at least this slow ahead of FIFO eviction (0 keeps pure FIFO)")
 	)
@@ -119,6 +119,9 @@ func cliMain(args []string, stderr io.Writer, ctx context.Context) int {
 	if *solveWorkers < 0 || *solveQueue < 1 {
 		fmt.Fprintln(stderr, "calibserved: -solve-workers must be >= 0 and -solve-queue >= 1")
 		return 2
+	}
+	if *solveCache == 0 {
+		*solveCache = -1 // the pool reads 0 as its default capacity
 	}
 	fsyncPolicy, err := store.ParseFsyncPolicy(*fsyncMode)
 	if err != nil {

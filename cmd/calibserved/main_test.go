@@ -463,3 +463,66 @@ func TestCLIListenError(t *testing.T) {
 		t.Errorf("stderr %q does not mention listen", stderr.String())
 	}
 }
+
+// TestCLISolveCacheZeroDisables pins -solve-cache 0 to its help text: no
+// result cache, so a repeated solve runs again instead of being served
+// from a cache of the pool's default size.
+func TestCLISolveCacheZeroDisables(t *testing.T) {
+	for _, tc := range []struct {
+		size string
+		hit  bool
+	}{{"0", false}, {"-1", false}, {"4", true}} {
+		t.Run(tc.size, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			buf, done := &logBuffer{}, make(chan int, 1)
+			go func() { done <- cliMain([]string{"-addr", "127.0.0.1:0", "-solve-cache", tc.size}, buf, ctx) }()
+			defer func() {
+				cancel()
+				if code := <-done; code != 0 {
+					t.Errorf("exit %d", code)
+				}
+			}()
+			base := "http://" + waitServing(t, buf, done)
+			solve := func() (hit bool) {
+				t.Helper()
+				resp, err := http.Post(base+"/v1/solve", "application/json",
+					strings.NewReader(`{"t":3,"kind":"total","g":4,"jobs":[{"release":0,"weight":2},{"release":3,"weight":1}]}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sub struct {
+					ID       string `json:"id"`
+					CacheHit bool   `json:"cache_hit"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&sub)
+				resp.Body.Close()
+				if err != nil || sub.ID == "" {
+					t.Fatalf("submit: status %d, %+v, %v", resp.StatusCode, sub, err)
+				}
+				for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+					resp, err := http.Get(base + "/v1/solve/" + sub.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var st struct {
+						State string `json:"state"`
+					}
+					err = json.NewDecoder(resp.Body).Decode(&st)
+					resp.Body.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.State == "done" {
+						return sub.CacheHit
+					}
+				}
+				t.Fatal("solve never finished")
+				return false
+			}
+			solve()
+			if hit := solve(); hit != tc.hit {
+				t.Fatalf("-solve-cache %s: repeated solve cache_hit %v, want %v", tc.size, hit, tc.hit)
+			}
+		})
+	}
+}

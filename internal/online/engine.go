@@ -15,10 +15,12 @@ import (
 //
 // The contract matches Stepper exactly: Step must be called for
 // consecutive time steps starting at 0, each call fed only the jobs
-// released at the current step. Every engine snapshots its state and
-// fast-forwards idle stretches: the serving layer persists, recovers and
-// migrates sessions through MarshalState and the spec's Restore, and
-// steps quiet ticks through SkipIdle.
+// released at the current step. Job IDs are small non-negative integers,
+// as a session's dense job table assigns them: an engine may keep
+// per-job state in a slice indexed by ID. Every engine snapshots its
+// state and fast-forwards idle stretches: the serving layer persists,
+// recovers and migrates sessions through MarshalState and the spec's
+// Restore, and steps quiet ticks through SkipIdle.
 type Engine interface {
 	Snapshotter
 	IdleSkipper
@@ -39,9 +41,10 @@ type Engine interface {
 	Triggers() []Trigger
 	// Jobs reports the jobs the engine holds: those waiting in its queue,
 	// in no particular order, and the start of each one it has started,
-	// keyed by job ID. Both are the engine's own: read-only, and valid
-	// until the next Step or SkipIdle.
-	Jobs() (queued []core.Job, starts map[int]int64)
+	// indexed by job ID: starts[id] is -1 for a job not started, and IDs
+	// at or past len(starts) have not started either. Both are the
+	// engine's own: read-only, and valid until the next Step or SkipIdle.
+	Jobs() (queued []core.Job, starts []int64)
 }
 
 var _ Engine = (*Stepper)(nil)
@@ -77,7 +80,11 @@ type EngineSpec struct {
 	New func(t, g int64, opts ...Option) Engine
 	// Restore reconstructs an engine from a state snapshot produced by
 	// its MarshalState (crash recovery and migration; see snapshot.go).
-	Restore func(t, g int64, state []byte, opts ...Option) (Engine, error)
+	// The state may hold only jobs with IDs in [0, jobs): an engine keeps
+	// per-job state indexed by ID, so a restore from untrusted bytes is
+	// bounded by a job count its caller holds (a session passes the
+	// length of its job table), never by an ID it read.
+	Restore func(t, g int64, jobs int, state []byte, opts ...Option) (Engine, error)
 }
 
 // engineSpecs is the backend registry, in listing order.

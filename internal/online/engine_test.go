@@ -45,7 +45,7 @@ func TestEngineRegistryContract(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s at %d: %v", spec.Name, step, err)
 				}
-				back, err := spec.Restore(4, 9, state)
+				back, err := spec.Restore(4, 9, int(step/3)+1, state)
 				if err != nil {
 					t.Fatalf("%s at %d: restore: %v", spec.Name, step, err)
 				}
@@ -62,8 +62,15 @@ func TestEngineRegistryContract(t *testing.T) {
 				arrivals = []core.Job{{ID: int(step / 3), Release: step, Weight: 1}}
 			}
 			eng.Step(arrivals)
-			if queued, starts := eng.Jobs(); len(queued)+len(starts) != int(step/3)+1 || len(queued) != eng.Pending() {
-				t.Fatalf("%s at %d: Jobs holds %d queued and %d started of %d fed", spec.Name, step, len(queued), len(starts), step/3+1)
+			queued, starts := eng.Jobs()
+			started := 0
+			for _, start := range starts {
+				if start >= 0 {
+					started++
+				}
+			}
+			if len(queued)+started != int(step/3)+1 || len(queued) != eng.Pending() {
+				t.Fatalf("%s at %d: Jobs holds %d queued and %d started of %d fed", spec.Name, step, len(queued), started, step/3+1)
 			}
 		}
 	}

@@ -13,6 +13,9 @@ import (
 // marshal back to itself: the encoding is canonical, so recovered and
 // never-killed engines snapshot identically.
 func FuzzRestoreEngine(f *testing.F) {
+	// Every restore holds at most fuzzJobs jobs, IDs 0..63: the seeds
+	// use 0..11.
+	const fuzzJobs = 64
 	for _, alg := range []string{"alg1", "alg2"} {
 		st, _ := NewEngine(alg, 3, 6)
 		for step := int64(0); step < 12; step++ {
@@ -37,7 +40,7 @@ func FuzzRestoreEngine(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, state []byte) {
 		for _, alg := range []string{"alg1", "alg2"} {
-			_, _ = RestoreEngine(alg, 3, 6, state)
+			_, _ = RestoreEngine(alg, 3, 6, fuzzJobs, state)
 		}
 		st, err := decodeState(state)
 		if err != nil || state[0] == '{' {
@@ -50,7 +53,7 @@ func FuzzRestoreEngine(f *testing.F) {
 		if !bytes.Equal(again, state) {
 			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, state)
 		}
-		eng, err := RestoreEngine(st.Alg, st.T, st.G, state)
+		eng, err := RestoreEngine(st.Alg, st.T, st.G, fuzzJobs, state)
 		if err != nil {
 			return
 		}

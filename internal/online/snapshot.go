@@ -100,9 +100,10 @@ func (s *Stepper) MarshalState() ([]byte, error) {
 	}
 	slices.SortFunc(st.Queue, func(a, b core.Job) int { return cmp.Compare(a.ID, b.ID) })
 	for id, start := range s.starts {
-		st.Starts = append(st.Starts, startEntry{Job: id, Start: start})
+		if start >= 0 {
+			st.Starts = append(st.Starts, startEntry{Job: id, Start: start})
+		}
 	}
-	slices.SortFunc(st.Starts, func(a, b startEntry) int { return cmp.Compare(a.Job, b.Job) })
 	return encodeState(&st)
 }
 
@@ -221,8 +222,9 @@ func decodeState(data []byte) (*stepperState, error) {
 
 // loadState restores a freshly constructed stepper to the encoded state.
 // The stepper must have been built by the same spec (alg, T, G) that
-// produced the encoding.
-func (s *Stepper) loadState(alg string, data []byte) error {
+// produced the encoding. Every job ID must lie in [0, jobs), which
+// bounds the starts slice it allocates.
+func (s *Stepper) loadState(alg string, data []byte, jobs int) error {
 	st, err := decodeState(data)
 	if err != nil {
 		return fmt.Errorf("online: decoding %s state: %w", alg, err)
@@ -248,6 +250,9 @@ func (s *Stepper) loadState(alg string, data []byte) error {
 		return fmt.Errorf("online: state interval [%d,%d) inconsistent with T=%d", st.CalStart, st.CalEnd, st.T)
 	}
 	for _, j := range st.Queue {
+		if j.ID < 0 || j.ID >= jobs {
+			return fmt.Errorf("online: queued job ID %d outside [0,%d)", j.ID, jobs)
+		}
 		if j.Release > st.Now {
 			return fmt.Errorf("online: queued job %d released at %d after state clock %d", j.ID, j.Release, st.Now)
 		}
@@ -264,11 +269,21 @@ func (s *Stepper) loadState(alg string, data []byte) error {
 	}
 	s.calendar = append(s.calendar[:0], st.Calendar...)
 	s.triggers = append(s.triggers[:0], st.Triggers...)
-	s.starts = make(map[int]int64, len(st.Starts))
+	size := 0
 	for _, e := range st.Starts {
+		if e.Job < 0 || e.Job >= jobs {
+			return fmt.Errorf("online: started job ID %d outside [0,%d)", e.Job, jobs)
+		}
 		if e.Start < 0 || e.Start >= st.Now {
 			return fmt.Errorf("online: job %d started at %d outside [0,%d)", e.Job, e.Start, st.Now)
 		}
+		size = max(size, e.Job+1)
+	}
+	s.starts = make([]int64, size)
+	for i := range s.starts {
+		s.starts[i] = -1
+	}
+	for _, e := range st.Starts {
 		s.starts[e.Job] = e.Start
 	}
 	// Keep the decision-event sequence continuous across recovery: the
@@ -280,10 +295,10 @@ func (s *Stepper) loadState(alg string, data []byte) error {
 }
 
 // restoreStepper adapts a stepper constructor into an EngineSpec.Restore.
-func restoreStepper(alg string, build func(t, g int64, opts ...Option) *Stepper) func(t, g int64, state []byte, opts ...Option) (Engine, error) {
-	return func(t, g int64, state []byte, opts ...Option) (Engine, error) {
+func restoreStepper(alg string, build func(t, g int64, opts ...Option) *Stepper) func(t, g int64, jobs int, state []byte, opts ...Option) (Engine, error) {
+	return func(t, g int64, jobs int, state []byte, opts ...Option) (Engine, error) {
 		st := build(t, g, opts...)
-		if err := st.loadState(alg, state); err != nil {
+		if err := st.loadState(alg, state, jobs); err != nil {
 			return nil, err
 		}
 		return st, nil
@@ -291,8 +306,9 @@ func restoreStepper(alg string, build func(t, g int64, opts ...Option) *Stepper)
 }
 
 // RestoreEngine validates the parameters and reconstructs the named
-// backend from a state snapshot produced by its MarshalState.
-func RestoreEngine(name string, t, g int64, state []byte, opts ...Option) (Engine, error) {
+// backend from a state snapshot produced by its MarshalState, holding
+// only jobs with IDs in [0, jobs) (see EngineSpec.Restore).
+func RestoreEngine(name string, t, g int64, jobs int, state []byte, opts ...Option) (Engine, error) {
 	spec, ok := LookupEngine(name)
 	if !ok {
 		return nil, fmt.Errorf("online: unknown engine %q", name)
@@ -303,5 +319,5 @@ func RestoreEngine(name string, t, g int64, state []byte, opts ...Option) (Engin
 	if g < 0 {
 		return nil, fmt.Errorf("online: calibration cost G = %d, want >= 0", g)
 	}
-	return spec.Restore(t, g, state, opts...)
+	return spec.Restore(t, g, jobs, state, opts...)
 }

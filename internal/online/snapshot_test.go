@@ -64,7 +64,7 @@ func TestStepperSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: v1 encoding: %v", trial, err)
 		}
 		for version, enc := range [][]byte{state, v1} {
-			restored, err := RestoreEngine(alg, in.T, g, enc)
+			restored, err := RestoreEngine(alg, in.T, g, in.N(), enc)
 			if err != nil {
 				t.Fatalf("trial %d v%d: restore at step %d: %v", trial, version+1, cut, err)
 			}
@@ -141,7 +141,7 @@ func TestStepperSnapshotTracerContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := trace.NewRing(16)
-	eng, err := RestoreEngine("alg1", 2, g, state, WithSink(ring))
+	eng, err := RestoreEngine("alg1", 2, g, 2, state, WithSink(ring))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRestoreEngineRejects(t *testing.T) {
 	// four empty-list counts (queue, calendar, triggers, starts), so the
 	// raw rows below splice their own bytes over that tail.
 	base := v2(func(st *stepperState) {})
-	if _, err := RestoreEngine("alg2", 5, 10, []byte(base)); err != nil {
+	if _, err := RestoreEngine("alg2", 5, 10, 16, []byte(base)); err != nil {
 		t.Fatalf("base v2 state does not restore: %v", err)
 	}
 	for _, tc := range []struct {
@@ -215,6 +215,10 @@ func TestRestoreEngineRejects(t *testing.T) {
 			`{"v":1,"alg":"alg2","t":5,"g":10,"now":3,"cal_start":-1,"cal_end":-1,"queue":[{"ID":0,"Release":1,"Weight":0}]}`, "weight 0"},
 		{"start beyond clock", "alg2", 5, 10,
 			`{"v":1,"alg":"alg2","t":5,"g":10,"now":3,"cal_start":-1,"cal_end":-1,"starts":[{"job":0,"start":7}]}`, "outside"},
+		{"started ID past the job limit", "alg2", 5, 10,
+			`{"v":1,"alg":"alg2","t":5,"g":10,"now":3,"cal_start":-1,"cal_end":-1,"starts":[{"job":1099511627776,"start":0}]}`, "started job ID"},
+		{"queued ID past the job limit", "alg2", 5, 10,
+			`{"v":1,"alg":"alg2","t":5,"g":10,"now":3,"cal_start":-1,"cal_end":-1,"queue":[{"ID":1099511627776,"Release":1,"Weight":1}]}`, "queued job ID"},
 		// Version 2 (binary) rows: one per loadState guard, then the
 		// encoding's own.
 		{"v2 wrong engine", "alg1", 5, 10, v2(func(st *stepperState) {}), `for engine "alg2"`},
@@ -233,6 +237,14 @@ func TestRestoreEngineRejects(t *testing.T) {
 			v2(func(st *stepperState) { st.Queue = []core.Job{{ID: 0, Release: 1, Weight: 0}} }), "weight 0"},
 		{"v2 start beyond clock", "alg2", 5, 10,
 			v2(func(st *stepperState) { st.Starts = []startEntry{{Job: 0, Start: 7}} }), "outside"},
+		{"v2 started ID past the job limit", "alg2", 5, 10,
+			v2(func(st *stepperState) { st.Starts = []startEntry{{Job: 1 << 40, Start: 0}} }), "started job ID 1099511627776"},
+		{"v2 negative started ID", "alg2", 5, 10,
+			v2(func(st *stepperState) { st.Starts = []startEntry{{Job: -1, Start: 0}} }), "started job ID -1"},
+		{"v2 queued ID past the job limit", "alg2", 5, 10,
+			v2(func(st *stepperState) { st.Queue = []core.Job{{ID: 1 << 40, Release: 1, Weight: 1}} }), "queued job ID 1099511627776"},
+		{"v2 negative queued ID", "alg2", 5, 10,
+			v2(func(st *stepperState) { st.Queue = []core.Job{{ID: -2, Release: 1, Weight: 1}} }), "queued job ID -2"},
 		{"v2 future version", "alg2", 5, 10, "\x03", "version 3"},
 		{"empty", "alg2", 5, 10, "", "empty state"},
 		{"v2 truncated varint", "alg2", 5, 10, base[:len(base)-1] + "\x80", "truncated varint"},
@@ -249,10 +261,33 @@ func TestRestoreEngineRejects(t *testing.T) {
 		{"bad T", "alg2", 0, 10, string(good), "T = 0"},
 		{"bad G", "alg2", 5, -1, string(good), "G = -1"},
 	} {
-		if _, err := RestoreEngine(tc.alg, tc.t, tc.g, []byte(tc.state)); err == nil {
+		if _, err := RestoreEngine(tc.alg, tc.t, tc.g, 16, []byte(tc.state)); err == nil {
 			t.Errorf("%s: restore succeeded, want error", tc.name)
 		} else if !strings.Contains(err.Error(), tc.msg) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.msg)
 		}
+	}
+}
+
+// TestRestoreEngineJobLimit: a restore of n jobs admits job IDs below n
+// and rejects the rest, queued or started, before sizing anything by
+// them.
+func TestRestoreEngineJobLimit(t *testing.T) {
+	state, err := encodeState(&stepperState{
+		Alg: "alg2", T: 5, G: 10, Now: 3, CalStart: -1, CalEnd: -1,
+		Queue:  []core.Job{{ID: 1, Release: 1, Weight: 1}},
+		Starts: []startEntry{{Job: 0, Start: 0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for jobs, ok := range map[int]bool{1: false, 2: true, 3: true} {
+		_, err := RestoreEngine("alg2", 5, 10, jobs, state)
+		if (err == nil) != ok {
+			t.Errorf("%d jobs: restore error %v, want success %v", jobs, err, ok)
+		}
+	}
+	if _, err := RestoreEngine("alg2", 5, 10, 1, state); err == nil || !strings.Contains(err.Error(), "queued job ID 1 outside [0,1)") {
+		t.Errorf("1 job: error %v, want the queued ID named", err)
 	}
 }

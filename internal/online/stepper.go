@@ -41,7 +41,9 @@ type Stepper struct {
 
 	calendar []core.Calibration
 	triggers []Trigger
-	starts   map[int]int64 // job ID -> start
+	// starts holds each job's start, indexed by job ID: -1 for a job not
+	// started, and IDs at or past its length have not started either.
+	starts []int64
 }
 
 // StepEvent reports what happened during one time step.
@@ -89,7 +91,6 @@ func newStepper(t, g int64, pol singlePolicy, o Options) *Stepper {
 		tracer:   newDecisionTracer(o.Sink, pol.alg, g),
 		q:        queue.NewJobQueue(pol.order),
 		calStart: -1, calEnd: -1,
-		starts: make(map[int]int64),
 	}
 }
 
@@ -146,7 +147,7 @@ func (s *Stepper) Step(arrivals []core.Job) StepEvent {
 	}
 	if calibrated && !s.q.Empty() {
 		j := s.q.Pop()
-		s.starts[j.ID] = s.t
+		s.setStart(j.ID, s.t)
 		s.intervalFlow += j.Flow(s.t)
 		ev.Ran = j.ID
 	}
@@ -182,13 +183,24 @@ func (s *Stepper) Schedule(n int) *core.Schedule {
 	sched := core.NewSchedule(n)
 	sched.Calendar = append(core.Calendar(nil), s.calendar...)
 	for id, start := range s.starts {
-		sched.Assign(id, 0, start)
+		if start >= 0 {
+			sched.Assign(id, 0, start)
+		}
 	}
 	return sched
 }
 
+// setStart records that job id started at start, growing starts to
+// cover id.
+func (s *Stepper) setStart(id int, start int64) {
+	for len(s.starts) <= id {
+		s.starts = append(s.starts, -1)
+	}
+	s.starts[id] = start
+}
+
 // Jobs implements Engine.
-func (s *Stepper) Jobs() (queued []core.Job, starts map[int]int64) {
+func (s *Stepper) Jobs() (queued []core.Job, starts []int64) {
 	return s.q.Jobs(), s.starts
 }
 

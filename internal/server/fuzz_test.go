@@ -40,6 +40,11 @@ func FuzzImport(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1, false)
+	// Engine states naming a started or a queued job far past the job
+	// table, which no restore may size anything by.
+	for _, started := range []bool{false, true} {
+		f.Add(encodeSnap(f, idSnapshot(f, farID, started))[18:], false)
+	}
 
 	nodes := []*Server{fuzzServer(f, false), fuzzServer(f, true)}
 	f.Fuzz(func(t *testing.T, snap []byte, raw bool) {

@@ -62,7 +62,7 @@ type Config struct {
 	// SolveWorkers is the offline-solve pool's concurrent DP runs
 	// (default GOMAXPROCS); SolveQueueDepth bounds queued solves before
 	// POST /v1/solve answers 429 (default 64); SolveCacheSize is the
-	// LRU result-cache capacity in entries (default 128, negative
+	// S3-FIFO result-cache capacity in entries (default 128, negative
 	// disables); SolveMaxJobs rejects larger instances with a 400
 	// (default offline.MaxParallelJobs). The pool itself applies these
 	// defaults — see solve.Options.

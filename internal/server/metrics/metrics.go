@@ -97,7 +97,7 @@ var (
 	SolveCacheHits = expvar.NewInt("calibserved.solve.cache.hits")
 	// SolveCacheMisses counts solves that had to consult the pool queue.
 	SolveCacheMisses = expvar.NewInt("calibserved.solve.cache.misses")
-	// SolveCacheEvictions counts LRU evictions from the result cache.
+	// SolveCacheEvictions counts evictions from the result cache.
 	SolveCacheEvictions = expvar.NewInt("calibserved.solve.cache.evictions")
 	// SolveDedupShared counts solves that attached to an identical
 	// in-flight DP run instead of starting their own.

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"calibsched/internal/core"
 	"calibsched/internal/online"
 	"calibsched/internal/par"
 	"calibsched/internal/server/metrics"
@@ -179,7 +178,7 @@ func (s *session) buildSnapshot() (*store.Snapshot, error) {
 		Jobs:   make([]store.JobRec, len(s.jobs)),
 	}
 	for i, j := range s.jobs {
-		snap.Jobs[i] = store.JobRec{ID: j.ID, Release: j.Release, Weight: j.Weight}
+		snap.Jobs[i] = store.JobRec{ID: i, Release: j.release, Weight: j.weight}
 	}
 	if n := s.buffer.Len(); n > 0 {
 		ids := make([]int, 0, n)
@@ -198,25 +197,27 @@ func (s *session) buildSnapshot() (*store.Snapshot, error) {
 // order (release, then ID) maps to the exact pop sequence of the
 // original run.
 func (s *session) loadSnapshot(snap *store.Snapshot) error {
-	eng, err := online.RestoreEngine(s.spec.Name, s.t, s.g, snap.Engine, online.WithSink(s.ring))
+	// The engine may hold only jobs of the table, so the table's length
+	// bounds every ID it accepts, and with it what the restore allocates.
+	eng, err := online.RestoreEngine(s.spec.Name, s.t, s.g, len(snap.Jobs), snap.Engine, online.WithSink(s.ring))
 	if err != nil {
 		return err
 	}
 	// Every job in the table was admissible when it arrived, at clock 0
 	// or later, and a buffered one is still in the engine's future.
 	s.eng = eng
-	s.jobs = make([]core.Job, len(snap.Jobs))
+	s.jobs = make([]jobRec, len(snap.Jobs))
 	for i, j := range snap.Jobs {
 		if err := s.admissible(i, j.Release, j.Weight, 0); err != nil {
 			return err
 		}
-		s.jobs[i] = core.Job{ID: j.ID, Release: j.Release, Weight: j.Weight}
+		s.jobs[i] = jobRec{release: j.Release, weight: j.Weight}
 	}
 	for _, id := range snap.Buffered {
-		if err := s.admissible(id, s.jobs[id].Release, s.jobs[id].Weight, eng.Now()); err != nil {
+		if err := s.admissible(id, s.jobs[id].release, s.jobs[id].weight, eng.Now()); err != nil {
 			return err
 		}
-		s.buffer.Push(s.jobs[id])
+		s.buffer.Push(s.jobs[id].job(id))
 	}
 	if err := checkHeld(eng, s.jobs, snap.Buffered); err != nil {
 		return err
@@ -229,7 +230,7 @@ func (s *session) loadSnapshot(snap *store.Snapshot) error {
 // checkHeld requires the engine to hold exactly the table's unbuffered
 // jobs: each one either queued as the table has it, or started no
 // earlier than its release.
-func checkHeld(eng online.Engine, jobs []core.Job, buffered []int) error {
+func checkHeld(eng online.Engine, jobs []jobRec, buffered []int) error {
 	held := make([]bool, len(jobs))
 	hold := func(id int) bool {
 		ok := id >= 0 && id < len(held) && !held[id]
@@ -243,12 +244,15 @@ func checkHeld(eng online.Engine, jobs []core.Job, buffered []int) error {
 	}
 	queued, starts := eng.Jobs()
 	for _, j := range queued {
-		if !hold(j.ID) || j != jobs[j.ID] {
+		if !hold(j.ID) || j != jobs[j.ID].job(j.ID) {
 			return fmt.Errorf("engine queues %+v, which is no unbuffered job of the table", j)
 		}
 	}
 	for id, start := range starts {
-		if !hold(id) || start < jobs[id].Release {
+		if start < 0 {
+			continue
+		}
+		if !hold(id) || start < jobs[id].release {
 			return fmt.Errorf("engine started job %d at %d, which is no unbuffered job of the table released by then", id, start)
 		}
 	}

@@ -51,7 +51,7 @@ type session struct {
 	// (boot recovery counts: it owns the session until go s.work()).
 	eng    online.Engine
 	buffer *queue.Heap[core.Job] // future arrivals, ordered by (Release, ID)
-	jobs   []core.Job            // every accepted job, indexed by ID
+	jobs   []jobRec              // every accepted job, indexed by ID
 	broken error                 // sticky failure from a recovered panic
 
 	// arrivals is the maturation scratch slice reused across every
@@ -69,6 +69,15 @@ type session struct {
 	// backpressure is bypassed (accepted is accepted), but state
 	// mutations and the queue-depth gauge apply normally.
 	replaying bool
+}
+
+// jobRec is one accepted job in a session's table. Its ID is its index,
+// so the table keeps 16 bytes per job rather than a core.Job's 24.
+type jobRec struct{ release, weight int64 }
+
+// job rebuilds the core.Job that the table holds at index id.
+func (r jobRec) job(id int) core.Job {
+	return core.Job{ID: id, Release: r.release, Weight: r.weight}
 }
 
 // newSession builds a session and starts its worker.
@@ -244,10 +253,9 @@ func (s *session) admit(specs []JobSpec, act *trace.Active) (ArrivalsResponse, e
 	}
 	ids := make([]int, len(specs))
 	for i, js := range specs {
-		j := core.Job{ID: len(s.jobs), Release: js.Release, Weight: js.Weight}
-		s.jobs = append(s.jobs, j)
-		s.buffer.Push(j)
-		ids[i] = j.ID
+		ids[i] = len(s.jobs)
+		s.jobs = append(s.jobs, jobRec{release: js.Release, weight: js.Weight})
+		s.buffer.Push(core.Job{ID: ids[i], Release: js.Release, Weight: js.Weight})
 	}
 	if !s.replaying {
 		metrics.ArrivalsAccepted.Add(int64(len(specs)))
@@ -447,16 +455,16 @@ func (s *session) snapshot() (ScheduleResponse, error) {
 	for i, a := range sched.Assignments {
 		j := s.jobs[i]
 		resp.Assignments[i] = AssignmentJSON{
-			Job: j.ID, Release: j.Release, Weight: j.Weight,
+			Job: i, Release: j.release, Weight: j.weight,
 			Machine: a.Machine, Start: a.Start,
 		}
 		if a.Start < 0 {
 			continue
 		}
 		resp.Assigned++
-		f, ok := core.MulCheck(j.Weight, a.Start+1-j.Release)
+		f, ok := core.MulCheck(j.weight, a.Start+1-j.release)
 		if !ok {
-			return ScheduleResponse{}, &apiError{status: 500, msg: fmt.Sprintf("int64 overflow computing flow of job %d", j.ID)}
+			return ScheduleResponse{}, &apiError{status: 500, msg: fmt.Sprintf("int64 overflow computing flow of job %d", i)}
 		}
 		if flow, ok = core.AddCheck(flow, f); !ok {
 			return ScheduleResponse{}, &apiError{status: 500, msg: "int64 overflow accumulating weighted flow"}

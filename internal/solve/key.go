@@ -1,7 +1,7 @@
 // Package solve runs exact offline solves as a bounded concurrent
 // service: a worker pool executes DP requests (OptimalFlow, BudgetSweep,
-// OptimalTotalCost), an LRU cache keyed by a canonical instance hash
-// makes repeat solves free, and in-flight deduplication lets concurrent
+// OptimalTotalCost), a scan-resistant S3-FIFO cache keyed by a canonical
+// instance hash makes repeat solves free, and in-flight deduplication lets concurrent
 // identical requests share a single DP run. The pool is the engine
 // behind calibserved's POST /v1/solve endpoint but has no HTTP or
 // metrics dependencies of its own — observers hook in via Options.

@@ -27,7 +27,7 @@ const (
 	EvCacheHit
 	// EvCacheMiss counts submits that had to consult the queue.
 	EvCacheMiss
-	// EvCacheEvicted counts LRU evictions from the result cache.
+	// EvCacheEvicted counts evictions from the result cache.
 	EvCacheEvicted
 	// EvDedupShared counts submits that attached to an identical solve
 	// already queued or running instead of starting their own.
@@ -117,7 +117,7 @@ type Options struct {
 	// QueueDepth bounds queued (not yet running) solves; a full queue
 	// rejects with ErrQueueFull (default 64).
 	QueueDepth int
-	// CacheSize is the LRU result-cache capacity in entries
+	// CacheSize is the S3-FIFO result-cache capacity in entries
 	// (default 128; negative disables caching).
 	CacheSize int
 	// SolveWorkers is the intra-solve parallelism handed to the
@@ -214,7 +214,7 @@ type Pool struct {
 	queue    chan *flight
 	stop     chan struct{}
 	wg       sync.WaitGroup
-	cache    *lruCache
+	cache    *resultCache
 	flights  map[string]*flight
 	handles  map[string]*handle
 	finished []string // finished handle ids, oldest first
@@ -231,7 +231,7 @@ func New(opts Options) *Pool {
 		clock:   time.Now,
 		queue:   make(chan *flight, opts.QueueDepth),
 		stop:    make(chan struct{}),
-		cache:   newLRU(opts.CacheSize),
+		cache:   newCache(opts.CacheSize),
 		flights: make(map[string]*flight),
 		handles: make(map[string]*handle),
 	}

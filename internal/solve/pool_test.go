@@ -146,8 +146,11 @@ func TestCacheHitServesIdenticalResult(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionOrder pins LRU semantics: with capacity 2, inserting
-// A, B, C evicts A; re-reading B promotes it so a fourth insert evicts C.
+// TestCacheEvictionOrder pins the S3-FIFO eviction order through the
+// pool at capacity 2 (one probation slot, one ghost): a new key is
+// evicted from probation unless it was read there, an evicted key
+// re-added comes back into the main queue, main evicts in FIFO order,
+// and a one-shot newcomer leaves again without displacing main.
 func TestCacheEvictionOrder(t *testing.T) {
 	rec := newRecorder()
 	p := New(Options{Workers: 1, CacheSize: 2, OnEvent: rec.on})
@@ -162,29 +165,30 @@ func TestCacheEvictionOrder(t *testing.T) {
 		}
 		return waitDone(t, p, id)
 	}
-
-	submit(1) // cache: [A]
-	submit(2) // cache: [B A]
-	if rec.get(EvCacheEvicted) != 0 {
-		t.Fatalf("premature eviction: %d", rec.get(EvCacheEvicted))
+	steps := []struct {
+		g         int64
+		hit       bool
+		evictions int
+		why       string
+	}{
+		{1, false, 0, "A enters probation"},
+		{2, false, 0, "B enters probation"},
+		{3, false, 1, "C enters probation and evicts the unread A, which becomes a ghost"},
+		{2, true, 1, "B is read in probation"},
+		{1, false, 2, "ghost A enters main; B moves on to main, and the unread C is evicted"},
+		{3, false, 3, "ghost C enters main and evicts main's oldest, A"},
+		{2, true, 3, "B stayed in main"},
+		{1, false, 4, "A is no ghost any more: it enters probation and is evicted at once"},
+		{3, true, 4, "C stayed in main"},
+		{2, true, 4, "B stayed in main"},
 	}
-	submit(3) // cache: [C B], evicts A
-	if rec.get(EvCacheEvicted) != 1 {
-		t.Fatalf("evictions after third insert = %d, want 1", rec.get(EvCacheEvicted))
-	}
-	if st := submit(2); !st.CacheHit { // promotes B: [B C]
-		t.Error("B was evicted; expected LRU to keep it")
-	}
-	// Re-inserting A evicts C, because the hit above promoted B ahead
-	// of it: cache goes [B C] -> [A B].
-	if st := submit(1); st.CacheHit {
-		t.Error("A survived; expected it to be the LRU victim")
-	}
-	if st := submit(3); st.CacheHit {
-		t.Error("C survived; expected promotion of B to make C the victim")
-	}
-	if rec.get(EvCacheEvicted) != 3 {
-		t.Errorf("total evictions = %d, want 3", rec.get(EvCacheEvicted))
+	for i, st := range steps {
+		if got := submit(st.g); got.CacheHit != st.hit {
+			t.Fatalf("step %d (%s): cache hit %v, want %v", i, st.why, got.CacheHit, st.hit)
+		}
+		if got := rec.get(EvCacheEvicted); got != st.evictions {
+			t.Fatalf("step %d (%s): %d evictions, want %d", i, st.why, got, st.evictions)
+		}
 	}
 }
 
