@@ -151,10 +151,28 @@ func Pick(n int) int {
 	return dir
 }
 
+// chdir changes the working directory to dir for the rest of the test
+// and restores it afterwards.
+func chdir(t *testing.T, dir string) {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Errorf("restoring working directory: %v", err)
+		}
+	})
+}
+
 // TestRunJSONOutput drives the full CLI path with -json and checks the
 // output is a parseable array with the expected flat fields.
 func TestRunJSONOutput(t *testing.T) {
-	t.Chdir(writeSyntheticModule(t))
+	chdir(t, writeSyntheticModule(t))
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-json", "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code %d, want 1 (one violation); stderr: %s", code, stderr.String())
@@ -182,7 +200,7 @@ func TestRunJSONCleanIsEmptyArray(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "ok.go"), []byte("package empty\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Chdir(dir)
+	chdir(t, dir)
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-json", "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code %d, want 0; stderr: %s", code, stderr.String())
@@ -195,7 +213,7 @@ func TestRunJSONCleanIsEmptyArray(t *testing.T) {
 // TestRunGitHubOutput checks the ::error annotation format, including
 // the file/line fields GitHub needs to anchor the annotation.
 func TestRunGitHubOutput(t *testing.T) {
-	t.Chdir(writeSyntheticModule(t))
+	chdir(t, writeSyntheticModule(t))
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-github", "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code %d, want 1; stderr: %s", code, stderr.String())

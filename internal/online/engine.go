@@ -52,12 +52,11 @@ var _ Engine = (*Stepper)(nil)
 // IdleSkipper is the fast-forward part of Engine: with an
 // empty queue, no trigger can fire and no job can run, so every step is
 // pure clock advancement — SkipIdle jumps the clock in O(1) where
-// repeated Step(nil) calls would cost one call per tick. This is
-// internal/simul's event-skipping optimization surfaced to serving-layer
-// drivers; the contract is that SkipIdle(to) with Pending() == 0 leaves
-// the engine in exactly the state that Step(nil) repeated (to - Now())
-// times would. Callers must check Pending() first; implementations
-// panic otherwise.
+// repeated Step(nil) calls would cost one call per tick (Stepper's
+// SkipIdle is its Advance restricted to an empty queue). The contract is
+// that SkipIdle(to) with Pending() == 0 leaves the engine in exactly the
+// state that Step(nil) repeated (to - Now()) times would. Callers must
+// check Pending() first; implementations panic otherwise.
 type IdleSkipper interface {
 	// SkipIdle advances the clock to step `to` without simulating the
 	// intervening (eventless) steps. No-op when to <= Now(); panics if

@@ -12,13 +12,16 @@
 // plus AssignTimes, the Observation 2.1 list scheduler that optimally
 // assigns jobs once calibration times are fixed.
 //
-// Each algorithm runs either as a naive per-time-step simulation or (the
-// default) as an event-skipping loop that jumps directly between arrivals,
-// interval boundaries, and analytically computed trigger times; the two are
-// equivalent (differentially tested) and the fast loop runs in time
-// polynomial in the number of jobs rather than in the time horizon, which
-// matters because a lone job waits Theta(G) steps before its flow trigger
-// fires.
+// Algorithms 1 and 2 have one implementation, Stepper, which calibserved
+// serves and the batch Alg1/Alg2 drive. Its Step simulates one time step
+// as the paper's pseudocode does and is the per-tick reference; its
+// Advance is the fast path, jumping between arrivals, interval ends and
+// analytically solved flow-trigger times, so a batch run costs time
+// polynomial in the number of jobs rather than in the time horizon (a lone
+// job waits Theta(G) steps before its flow trigger fires). Alg3 and
+// Alg2Multi keep their own loops over internal/simul, with a naive
+// per-time-step mode and the same event skipping. Every fast path is
+// differentially tested against its per-tick reference.
 package online
 
 import (
@@ -94,8 +97,10 @@ type Result struct {
 // Options tune algorithm variants; the zero value selects the paper's
 // algorithms as analyzed (with the line-13 typo corrected, see DESIGN.md).
 type Options struct {
-	// Naive forces per-time-step simulation instead of event skipping;
-	// used for differential testing.
+	// Naive forces per-time-step simulation instead of event skipping:
+	// the batch Alg1/Alg2 call Stepper.Step for every tick instead of
+	// Advance between arrivals, the paper-literal reference the fast
+	// path is differentially tested against. Steppers ignore it.
 	Naive bool
 	// NoImmediateCalibrations disables Algorithm 1's "previous interval
 	// had flow < G/2" rule (ablation E7).

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -147,7 +148,7 @@ func fuzzServer(f *testing.F, durable bool) *Server {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() {
-		if err := srv.Shutdown(f.Context()); err != nil {
+		if err := srv.Shutdown(context.Background()); err != nil {
 			f.Errorf("shutdown: %v", err)
 		}
 	})

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -141,7 +142,7 @@ func TestExportImportPersistent(t *testing.T) {
 
 	// Restart the target: the imported session must come back from disk.
 	dst.Close()
-	if err := dstSrv.Shutdown(t.Context()); err != nil {
+	if err := dstSrv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutting down target: %v", err)
 	}
 	reStore, err := store.Open(dstRoot, store.Options{})
@@ -282,7 +283,7 @@ func TestReadyzFlipsOnShutdown(t *testing.T) {
 	if status := doJSON(t, "GET", ts.URL+"/readyz", nil, &ready); status != 200 || ready.Status != "ok" {
 		t.Fatalf("readyz = %d %+v", status, ready)
 	}
-	if err := srv.Shutdown(t.Context()); err != nil {
+	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if status := doJSON(t, "GET", ts.URL+"/readyz", nil, &ready); status != 503 || ready.Status != "draining" {

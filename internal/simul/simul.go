@@ -1,10 +1,12 @@
-// Package simul provides the discrete-time plumbing shared by the online
+// Package simul provides discrete-time plumbing for the online
 // calibration algorithms: an arrival stream grouping jobs by release time,
 // and small integer-time utilities (ceiling division on int64).
 //
-// The online algorithms come in two operationally identical flavors — a
-// naive per-time-step simulation and an event-skipping fast-forward loop —
-// and both are built on this package. Event skipping matters because the
+// Algorithm 3, Alg2Multi and the baselines consume its arrival stream;
+// Algorithm 3 and Alg2Multi come in two operationally identical flavors —
+// a naive per-time-step simulation and an event-skipping fast-forward
+// loop. Algorithms 1 and 2 run on online.Stepper instead, whose Advance
+// skips events the same way. Event skipping matters because the
 // calibration cost G sets the natural delay scale: a lone job may wait
 // Theta(G) steps before the flow trigger fires, so a naive loop is
 // Omega(G) while the event loop is O((n + #calibrations) log n).

@@ -7,12 +7,14 @@
 # rebalances, then SIGKILLs one backend and requires the gateway to keep
 # serving the surviving shard while answering 503 + Retry-After for the
 # dead one. The gateway-aggregated /metrics exposition is validated and
-# written to METRICS_OUT (default $WORKDIR/metrics.txt) as the CI
-# artifact. Plain sh + curl + sed + grep; no other dependencies.
+# written to METRICS_OUT (the CI artifact; by default a fresh
+# clustersmoke-metrics.* file in $TMPDIR that outlives the run, unlike
+# the removed work directory). Plain sh + curl + sed + grep; no other
+# dependencies.
 set -eu
 
 WORKDIR=$(mktemp -d)
-METRICS_OUT=${METRICS_OUT:-"$WORKDIR/metrics.txt"}
+METRICS_OUT=${METRICS_OUT:-$(mktemp "${TMPDIR:-/tmp}/clustersmoke-metrics.XXXXXX")}
 PIDS=""
 cleanup() {
     for p in $PIDS; do kill -9 "$p" 2>/dev/null || true; done
