@@ -137,10 +137,15 @@ func runE5(w io.Writer, cfg Config) (*Report, error) {
 	fmt.Fprintf(w, "\nlog-log slope vs K (n=%d): %.2f (paper: linear in K)\n", nFix, slopeK)
 
 	// Shape judgement: polynomial, not exponential. The measured n
-	// exponent should sit near the cubic regime (the memoized
-	// implementation does O(n) work per state; see EXPERIMENTS.md). Quick
+	// exponent should sit near the cubic regime of Theorem 4.7 (the
+	// bottom-up solver fills about n^3/6 Proposition 2 states), and the K
+	// exponent near zero: the Proposition 2 table, which dominates the
+	// run, does not depend on the budget (see EXPERIMENTS.md). Quick
 	// mode's grids are too small for stable slope fits (single reps,
 	// sub-millisecond points), so the gates apply to the full grids only.
+	// Both fits are wall-clock measurements that vary from run to run:
+	// they are printed above and gated here, but kept out of the verdict
+	// line so that it is reproducible.
 	if !cfg.Quick {
 		if slopeN > 5.0 {
 			rep.violate("n-exponent %.2f looks super-polynomial for the claimed O(Kn^3)", slopeN)
@@ -149,8 +154,6 @@ func runE5(w io.Writer, cfg Config) (*Report, error) {
 			rep.violate("K-exponent %.2f far above the claimed linear dependence", slopeK)
 		}
 	}
-	rep.set("n_exponent", "%.2f", slopeN)
-	rep.set("k_exponent", "%.2f", slopeK)
 	rep.set("correctness", "%d/%d", matched, trials)
 	WriteReport(w, rep)
 	return rep, nil

@@ -8,9 +8,9 @@ import (
 // deterministicPkgSuffixes names the packages whose outputs must be a
 // pure function of their inputs: the core model, the online engines, the
 // offline DP, and the simulation loop. Every differential proof in the
-// repository — served-vs-batch schedules, crash-recovery replay,
-// parallel-vs-memoized DP — relies on reruns being byte-identical, which
-// a single wall-clock read silently breaks.
+// repository — served-vs-batch schedules, crash-recovery replay, DP
+// results at every worker count — relies on reruns being byte-identical,
+// which a single wall-clock read silently breaks.
 //
 // internal/trace is deliberately NOT in this set: request spans exist to
 // measure wall-clock latency (time.Now, time.Since are their whole

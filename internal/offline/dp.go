@@ -19,6 +19,14 @@
 // always scheduled either at its release time, or as the last job of the
 // busy prefix [b, b+s) of the group's final interval, or — if the group
 // splits at a multiple-of-T prefix — inside an earlier subgroup.
+//
+// There is one solver: it fills dense Proposition 2 and Proposition 1
+// tables bottom-up (parallel.go runs the fill in waves across a worker
+// count the caller picks) and reconstructs schedules from their choice
+// entries. The plain entry points (OptimalFlow, BudgetSweep,
+// OptimalTotalCost) are one-worker calls of the *Parallel forms, which
+// return byte-identical results at any worker count. Instances beyond
+// MaxDPJobs are rejected before any table is allocated.
 package offline
 
 import (
@@ -36,6 +44,15 @@ import (
 const Unschedulable = int64(-1)
 
 const inf = int64(math.MaxInt64) / 4
+
+// MaxDPJobs is the largest job count the DP accepts; it bounds the
+// solver's memory. The Proposition 2 table holds
+// sum_{len=1..n} (n-len+1)(len+1) ≈ n^3/6 states at 25 bytes each (value,
+// choice kind, peeled job, slot, split), and the rest of the solver is
+// O(n^2): at n = 512 that is 22.6M states, about 546 MiB in all (about
+// 70 MiB at n = 256). newSolver rejects larger instances before
+// allocating anything.
+const MaxDPJobs = 512
 
 // DPResult is the outcome of the exact offline solver.
 type DPResult struct {
@@ -64,32 +81,37 @@ type choice struct {
 }
 
 type solver struct {
-	n    int
-	T    int64
-	rel  []int64 // 1-based
-	w    []int64 // 1-based
-	rank []int   // 1-based job index -> rank in 1..n
-	pos  []int   // rank -> 1-based job index (inverse of rank)
+	n         int
+	T         int64
+	workers   int
+	rel       []int64 // 1-based
+	w         []int64 // 1-based
+	rank      []int   // 1-based job index -> rank in 1..n
+	pos       []int   // rank -> 1-based job index (inverse of rank)
+	relWeight int64   // sum_j w_j r_j: completion time minus flow
 
 	// pre[mu][j] = #{i in 1..j : rank_i > mu}; cnt(u,j,mu) is a prefix
 	// difference.
 	pre [][]int32
 
-	// ri answers minRankAbove queries in O(log^2 n) instead of an O(n)
-	// scan per DP state; see rankindex.go.
-	ri *rankIndex
+	// Proposition 2 layer, flattened: interval (u, v) owns the slots
+	// [base[u][v], base[u][v]+len], indexed by the canonical state
+	// c = |{ranks in [u,v]} <= mu| (c == len is the empty state).
+	// f(u,v,mu) depends on mu only through the job set J(u,v,mu), so an
+	// interval needs len+1 entries, not n.
+	base    [][]int64
+	val     []int64
+	chKind  []uint8
+	chE     []int32
+	chSlot  []int64
+	chSplit []int32
 
-	// relScratch is the reusable release buffer of prefixSScan, hoisted
-	// so the scan variant does not allocate per call.
-	relScratch []int64
-
-	fMemo   map[uint64]int64
-	fChoice map[uint64]choice
-
-	// Proposition 1 layer (memoized): key k*(n+1)+v.
-	fMemoTop   map[int]int64
-	fChoiceTop map[int]int
-	relWeight  int64
+	// Proposition 1 layer: row-major (maxK+1) x (n+1), with maxK capped
+	// at n (more calibrations than jobs never help, so rows beyond n
+	// would repeat row n).
+	maxK int
+	fTop []int64
+	uTop []int32
 
 	// Decision tracing (nil sink = off): schedule reconstruction emits one
 	// trace.DecisionEvent per calendar entry of the greedy cover. traceG
@@ -100,27 +122,15 @@ type solver struct {
 	traceSeq int64
 }
 
-// keyBits is the field width of key(): u, v, and mu each pack into
-// keyBits bits of one uint64 memo key.
-const keyBits = 21
-
-// MaxDPJobs is the largest job count the DP accepts: u, v, and mu all
-// range over 0..n, so n must fit in a keyBits-bit field. Beyond it the
-// packed memo keys of key() would silently alias distinct states and the
-// DP would return wrong optima; newSolver fails fast instead.
-const MaxDPJobs = 1<<keyBits - 1
-
-func key(u, v, mu int) uint64 {
-	return uint64(u)<<(2*keyBits) | uint64(v)<<keyBits | uint64(mu)
-}
-
-func newSolver(in *core.Instance) (*solver, error) {
+// newSolver validates in, precomputes ranks and prefix counts, and
+// allocates the Proposition 2 table. workers <= 0 means GOMAXPROCS.
+func newSolver(in *core.Instance, workers int) (*solver, error) {
 	if in.P != 1 {
 		return nil, fmt.Errorf("offline: DP requires P = 1, got %d", in.P)
 	}
 	n := in.N()
 	if n > MaxDPJobs {
-		return nil, fmt.Errorf("offline: %d jobs exceed the DP limit %d (memo keys pack three %d-bit indices into a uint64; beyond that they would collide)", n, MaxDPJobs, keyBits)
+		return nil, fmt.Errorf("offline: %d jobs exceed the DP limit %d (the dense tables grow as n^3/6 states of 25 bytes)", n, MaxDPJobs)
 	}
 	for i := 1; i < n; i++ {
 		if in.Jobs[i].Release == in.Jobs[i-1].Release {
@@ -128,21 +138,20 @@ func newSolver(in *core.Instance) (*solver, error) {
 		}
 	}
 	s := &solver{
-		n:          n,
-		T:          in.T,
-		rel:        make([]int64, n+1),
-		w:          make([]int64, n+1),
-		rank:       make([]int, n+1),
-		fMemo:      make(map[uint64]int64),
-		fChoice:    make(map[uint64]choice),
-		fMemoTop:   make(map[int]int64),
-		fChoiceTop: make(map[int]int),
+		n:       n,
+		T:       in.T,
+		workers: parallelWorkers(workers),
+		rel:     make([]int64, n+1),
+		w:       make([]int64, n+1),
+		rank:    make([]int, n+1),
+		pos:     make([]int, n+1),
 	}
 	ranks := in.Ranks()
 	for i, j := range in.Jobs {
 		s.rel[i+1] = j.Release
 		s.w[i+1] = j.Weight
 		s.rank[i+1] = ranks[j.ID]
+		s.pos[ranks[j.ID]] = i + 1
 		s.relWeight = core.MustAdd(s.relWeight, core.MustMul(j.Weight, j.Release))
 	}
 	s.pre = make([][]int32, n+1)
@@ -156,12 +165,32 @@ func newSolver(in *core.Instance) (*solver, error) {
 		}
 		s.pre[mu] = row
 	}
-	s.pos = make([]int, n+1)
-	for i := 1; i <= n; i++ {
-		s.pos[s.rank[i]] = i
+	s.base = make([][]int64, n+1)
+	var total int64
+	for u := 1; u <= n; u++ {
+		s.base[u] = make([]int64, n+1)
+		for v := u; v <= n; v++ {
+			s.base[u][v] = total
+			total += int64(v-u) + 2 // states c = 0..len
+		}
 	}
-	s.ri = newRankIndex(s.pos)
-	s.relScratch = make([]int64, 0, n)
+	s.val = make([]int64, total)
+	s.chKind = make([]uint8, total)
+	s.chE = make([]int32, total)
+	s.chSlot = make([]int64, total)
+	s.chSplit = make([]int32, total)
+	return s, nil
+}
+
+// solveTables runs the whole DP for budgets 0..maxK on workers
+// goroutines: newSolver, then both table layers.
+func solveTables(in *core.Instance, maxK, workers int) (*solver, error) {
+	s, err := newSolver(in, workers)
+	if err != nil {
+		return nil, err
+	}
+	s.buildProp2()
+	s.buildTop(min(maxK, s.n))
 	return s, nil
 }
 
@@ -171,27 +200,6 @@ func (s *solver) cnt(u, j, mu int) int64 {
 		return 0
 	}
 	return int64(s.pre[mu][j] - s.pre[mu][u-1])
-}
-
-// minRankAbove returns the index of the job in u..v with the smallest rank
-// exceeding mu, or 0 if none. The merge-sort tree answers it in
-// O(log^2 n) instead of scanning the whole range.
-func (s *solver) minRankAbove(u, v, mu int) int {
-	return s.ri.minAbove(u, v, mu)
-}
-
-// minRankAboveScan is the original O(v-u) scan, retained to cross-check
-// the indexed minRankAbove in tests.
-func (s *solver) minRankAboveScan(u, v, mu int) int {
-	best := 0
-	bestRank := math.MaxInt
-	for i := u; i <= v; i++ {
-		if r := s.rank[i]; r > mu && r < bestRank {
-			bestRank = r
-			best = i
-		}
-	}
-	return best
 }
 
 // prefixS computes Definition 4.5's s for the state (u,v,mu): the smallest
@@ -206,8 +214,8 @@ func (s *solver) minRankAboveScan(u, v, mu int) int {
 // the first h where d reaches the smallest multiple of T that is >= -c(0)
 // — found by binary search over h, with each c(h) a binary search over
 // the release-sorted index range plus a rank-prefix difference. O(log T
-// * log n) per call, allocation-free (the old scan built a fresh release
-// slice per call; see prefixSScan).
+// * log n) per call and allocation-free; the tests cross-check it
+// against a direct O(T + n) scan.
 func (s *solver) prefixS(u, v, mu int) int64 {
 	b := s.rel[v] + 1 - s.T
 	count := func(h int64) int64 {
@@ -244,61 +252,70 @@ func (s *solver) prefixS(u, v, mu int) int64 {
 	return ans
 }
 
-// prefixSScan is the original O(T + n) scan over the state's releases,
-// retained to cross-check prefixS in tests. The release buffer is hoisted
-// onto the solver so repeated calls do not allocate.
-func (s *solver) prefixSScan(u, v, mu int) int64 {
-	b := s.rel[v] + 1 - s.T
-	rels := s.relScratch[:0]
+// getF reads f(a, b, mu) from the Proposition 2 table: the canonical
+// index is c = len - |J(a,b,mu)|, and the empty state (c == len) holds 0.
+func (s *solver) getF(a, b, mu int) int64 {
+	c := int64(b-a+1) - s.cnt(a, b, mu)
+	return s.val[s.base[a][b]+c]
+}
+
+// scratch is per-worker reusable state for the table fill, which never
+// re-enters a state, so the buffers are safe to reuse across states.
+type scratch struct {
+	psi   []int
+	ranks []int
+}
+
+func newScratch(n int) *scratch {
+	return &scratch{psi: make([]int, 0, n), ranks: make([]int, 0, n)}
+}
+
+// solveInterval fills every state of interval (u, v), descending c so
+// that the same-interval dependencies (strictly higher mu) are ready.
+func (s *solver) solveInterval(u, v int, sc *scratch) {
+	length := v - u + 1
+	off := s.base[u][v]
+	ranks := sc.ranks[:0]
 	for i := u; i <= v; i++ {
-		if s.rank[i] > mu {
-			rels = append(rels, s.rel[i])
-		}
+		ranks = append(ranks, s.rank[i])
 	}
-	s.relScratch = rels
-	ptr := 0
-	for h := int64(0); h <= s.T; h++ {
-		for ptr < len(rels) && rels[ptr] < b+h {
-			ptr++
+	sort.Ints(ranks)
+	sc.ranks = ranks
+	s.val[off+int64(length)] = 0
+	s.chKind[off+int64(length)] = uint8(choiceEmpty)
+	for c := length - 1; c >= 0; c-- {
+		mu := 0
+		if c > 0 {
+			mu = ranks[c-1]
 		}
-		if h%s.T == int64(ptr)%s.T {
-			return h
-		}
+		e := s.pos[ranks[c]] // the smallest rank above mu lives at ranks[c]
+		best, ch := s.solveState(u, v, mu, e, sc)
+		s.val[off+int64(c)] = best
+		s.chKind[off+int64(c)] = uint8(ch.kind)
+		s.chE[off+int64(c)] = int32(ch.e)
+		s.chSlot[off+int64(c)] = ch.slot
+		s.chSplit[off+int64(c)] = int32(ch.split)
 	}
-	panic("offline: no busy-prefix fixed point; unreachable")
 }
 
-// f computes Proposition 2: the minimum total weighted completion time of
-// J(u,v,mu) scheduled in exactly ceil(|J|/T) intervals, all full except
-// possibly the last, which occupies [rel[v]+1-T, rel[v]+1).
-func (s *solver) f(u, v, mu int) int64 {
-	if s.cnt(u, v, mu) == 0 {
-		return 0
-	}
-	k := key(u, v, mu)
-	if val, ok := s.fMemo[k]; ok {
-		return val
-	}
-	// Mark in progress to surface accidental cycles during development.
-	s.fMemo[k] = inf
-	val, ch := s.solveF(u, v, mu)
-	s.fMemo[k] = val
-	s.fChoice[k] = ch
-	return val
-}
-
-func (s *solver) solveF(u, v, mu int) (int64, choice) {
+// solveState computes Proposition 2 for the nonempty state (u, v, mu):
+// the minimum total weighted completion time of J(u,v,mu) scheduled in
+// exactly ceil(|J|/T) intervals, all full except possibly the last, which
+// occupies [rel[v]+1-T, rel[v]+1). e is the job of smallest rank above
+// mu. Candidates are tried in a fixed order with strict-< comparisons, so
+// ties resolve the same way at every worker count.
+func (s *solver) solveState(u, v, mu, e int, sc *scratch) (int64, choice) {
 	b := s.rel[v] + 1 - s.T
-	e := s.minRankAbove(u, v, mu)
 
 	// Psi: jobs j in J(u, v-1, mu) whose prefix count |J(u,j,mu)| is a
 	// positive multiple of T. jLast is the one with the latest release.
-	var psi []int
+	psi := sc.psi[:0]
 	for j := u; j <= v-1; j++ {
 		if s.rank[j] > mu && s.cnt(u, j, mu)%s.T == 0 {
 			psi = append(psi, j)
 		}
 	}
+	sc.psi = psi
 	if len(psi) > 0 {
 		jLast := psi[len(psi)-1]
 		if b <= s.rel[jLast] {
@@ -315,7 +332,7 @@ func (s *solver) solveF(u, v, mu int) (int64, choice) {
 	if s.rel[e] >= b+sPrefix {
 		// Job e is released in the everything-at-release suffix of the
 		// final interval: schedule it at its release time.
-		if rest := s.f(u, v, s.rank[e]); rest < inf {
+		if rest := s.getF(u, v, s.rank[e]); rest < inf {
 			if c := core.MustAdd(rest, core.MustMul(s.w[e], s.rel[e]+1)); c < best {
 				best = c
 				bestCh = choice{kind: choiceAtRelease, e: e, slot: s.rel[e]}
@@ -324,7 +341,7 @@ func (s *solver) solveF(u, v, mu int) (int64, choice) {
 	} else if sPrefix > 0 {
 		// Job e is delayed: as the lightest job it takes the last slot of
 		// the busy prefix, completing at b+s.
-		if rest := s.f(u, v, s.rank[e]); rest < inf {
+		if rest := s.getF(u, v, s.rank[e]); rest < inf {
 			if c := core.MustAdd(rest, core.MustMul(s.w[e], b+sPrefix)); c < best {
 				best = c
 				bestCh = choice{kind: choiceBusyPrefix, e: e, slot: b + sPrefix - 1}
@@ -336,11 +353,11 @@ func (s *solver) solveF(u, v, mu int) (int64, choice) {
 		if s.rel[j] < s.rel[e] {
 			continue // e must lie in the left part for a split at j
 		}
-		left := s.f(u, j, mu)
+		left := s.getF(u, j, mu)
 		if left >= inf {
 			continue
 		}
-		right := s.f(j+1, v, mu)
+		right := s.getF(j+1, v, mu)
 		if right >= inf {
 			continue
 		}
@@ -352,44 +369,23 @@ func (s *solver) solveF(u, v, mu int) (int64, choice) {
 	return best, bestCh
 }
 
-// emitF writes the slots chosen for state (u,v,mu) into starts[jobIndex].
-func (s *solver) emitF(u, v, mu int, starts []int64) {
-	for s.cnt(u, v, mu) > 0 {
-		ch, ok := s.fChoice[key(u, v, mu)]
-		if !ok {
-			panic("offline: missing DP choice during reconstruction")
-		}
-		switch ch.kind {
-		case choiceAtRelease, choiceBusyPrefix:
-			starts[ch.e] = ch.slot
-			mu = s.rank[ch.e]
-		case choiceSplit:
-			s.emitF(u, ch.split, mu, starts)
-			u = ch.split + 1
-		default:
-			panic("offline: empty choice for nonempty state")
-		}
-	}
-}
-
-// Solve runs Proposition 1 for budgets 0..maxK and returns the F table:
-// flows[k] is the optimal total weighted flow with at most k calibrations,
-// or Unschedulable. The returned function reconstructs a schedule for a
-// feasible budget.
-// fTable returns F(k, v): the minimum total weighted completion time of
-// jobs 1..v using at most k calibrations (Proposition 1), computed by
-// memoized recursion so that callers probing only a few budgets (the
-// ternary search) touch only the states they need.
-func (s *solver) fTable(k, v int) int64 {
+// topF reads F(k, v) from the Proposition 1 table: the minimum total
+// weighted completion time of jobs 1..v using at most k calibrations.
+func (s *solver) topF(k, v int) int64 {
 	if v == 0 {
 		return 0
 	}
-	if k <= 0 || core.MustMul(int64(k), s.T) < int64(v) {
+	if k <= 0 {
 		return inf
 	}
-	key := k*(s.n+1) + v
-	if val, ok := s.fMemoTop[key]; ok {
-		return val
+	return s.fTop[k*(s.n+1)+v]
+}
+
+// topState computes Proposition 1 for (k, v) from rows with smaller k:
+// the last group {u..v} needs ceil((v-u+1)/T) calibrations.
+func (s *solver) topState(k, v int) (int64, int32) {
+	if core.MustMul(int64(k), s.T) < int64(v) {
+		return inf, 0
 	}
 	best := inf
 	bestU := 0
@@ -398,11 +394,11 @@ func (s *solver) fTable(k, v int) int64 {
 		if need > k {
 			continue
 		}
-		prev := s.fTable(k-need, u-1)
+		prev := s.topF(k-need, u-1)
 		if prev >= inf {
 			continue
 		}
-		g := s.f(u, v, 0)
+		g := s.getF(u, v, 0)
 		if g >= inf {
 			continue
 		}
@@ -411,15 +407,15 @@ func (s *solver) fTable(k, v int) int64 {
 			bestU = u
 		}
 	}
-	s.fMemoTop[key] = best
-	s.fChoiceTop[key] = bestU
-	return best
+	return best, int32(bestU)
 }
 
 // flowAt returns the optimal total weighted flow with at most k
-// calibrations, or Unschedulable.
+// calibrations, or Unschedulable. k must not exceed the budget the tables
+// were built for; a k past the built rows reads row n, where solveTables
+// stopped because extra budget never helps.
 func (s *solver) flowAt(k int) int64 {
-	val := s.fTable(k, s.n)
+	val := s.topF(min(k, s.maxK), s.n)
 	if val >= inf {
 		return Unschedulable
 	}
@@ -433,25 +429,36 @@ func (s *solver) rebuild(k int) *core.Schedule {
 	}
 	starts := make([]int64, s.n+1)
 	v := s.n
-	kk := k
+	kk := min(k, s.maxK)
 	for v > 0 {
-		u, ok := s.fChoiceTop[kk*(s.n+1)+v]
-		if !ok || u == 0 {
+		u := int(s.uTop[kk*(s.n+1)+v])
+		if u == 0 {
 			panic("offline: broken F reconstruction chain")
 		}
 		s.emitF(u, v, 0, starts)
 		kk -= int(simul.CeilDiv(int64(v-u+1), s.T))
 		v = u - 1
 	}
-	return scheduleFromStarts(s, starts)
+	return s.scheduleFromStarts(starts)
 }
 
-func (s *solver) solve(maxK int) (flows []int64, rebuild func(k int) *core.Schedule) {
-	flows = make([]int64, maxK+1)
-	for k := 0; k <= maxK; k++ {
-		flows[k] = s.flowAt(k)
+// emitF writes the slots chosen for state (u,v,mu) into starts[jobIndex].
+func (s *solver) emitF(u, v, mu int, starts []int64) {
+	for s.cnt(u, v, mu) > 0 {
+		idx := s.base[u][v] + int64(v-u+1) - s.cnt(u, v, mu)
+		switch choiceKind(s.chKind[idx]) {
+		case choiceAtRelease, choiceBusyPrefix:
+			e := int(s.chE[idx])
+			starts[e] = s.chSlot[idx]
+			mu = s.rank[e]
+		case choiceSplit:
+			j := int(s.chSplit[idx])
+			s.emitF(u, j, mu, starts)
+			u = j + 1
+		default:
+			panic("offline: empty choice for nonempty state")
+		}
 	}
-	return flows, s.rebuild
 }
 
 // scheduleFromStarts builds a schedule from 1-based per-job start slots,
@@ -461,7 +468,7 @@ func (s *solver) solve(maxK int) (flows []int64, rebuild func(k int) *core.Sched
 // forces an uncovered slot, and the event snapshots the jobs that interval
 // serves (queue fields) and their realized weighted flow (prospective
 // flow field).
-func scheduleFromStarts(s *solver, starts []int64) *core.Schedule {
+func (s *solver) scheduleFromStarts(starts []int64) *core.Schedule {
 	sched := core.NewSchedule(s.n)
 	order := make([]int, s.n)
 	for i := range order {
@@ -514,41 +521,59 @@ func scheduleFromStarts(s *solver, starts []int64) *core.Schedule {
 // OptimalFlow solves the offline problem exactly: the minimum total
 // weighted flow on one machine using at most k calibrations (Theorem 4.7).
 // The instance must have distinct release times. It returns an error if k
-// calibrations cannot fit all jobs (k*T < n).
+// calibrations cannot fit all jobs (k*T < n). It is OptimalFlowParallel
+// on one worker.
 func OptimalFlow(in *core.Instance, k int) (*DPResult, error) {
+	return OptimalFlowParallel(in, k, 1)
+}
+
+// OptimalFlowParallel is OptimalFlow with the table fill spread over
+// workers goroutines (<= 0 means GOMAXPROCS); the result is identical at
+// every worker count.
+func OptimalFlowParallel(in *core.Instance, k, workers int) (*DPResult, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("offline: negative budget %d", k)
 	}
 	if in.N() == 0 {
 		return &DPResult{Flow: 0, Schedule: core.NewSchedule(0)}, nil
 	}
-	s, err := newSolver(in)
+	s, err := solveTables(in, k, workers)
 	if err != nil {
 		return nil, err
 	}
-	flows, rebuild := s.solve(k)
-	if flows[k] == Unschedulable {
+	flow := s.flowAt(k)
+	if flow == Unschedulable {
 		return nil, fmt.Errorf("offline: %d calibrations of length %d cannot schedule %d jobs", k, in.T, in.N())
 	}
-	sched := rebuild(k)
-	return &DPResult{Flow: flows[k], Schedule: sched}, nil
+	return &DPResult{Flow: flow, Schedule: s.rebuild(k)}, nil
 }
 
 // BudgetSweep returns flows[k] for k = 0..maxK: the optimal total weighted
 // flow using at most k calibrations, with Unschedulable where no feasible
-// schedule exists. One DP run serves the whole sweep.
+// schedule exists. One DP run serves the whole sweep. It is
+// BudgetSweepParallel on one worker.
 func BudgetSweep(in *core.Instance, maxK int) ([]int64, error) {
+	return BudgetSweepParallel(in, maxK, 1)
+}
+
+// BudgetSweepParallel is BudgetSweep with the table fill spread over
+// workers goroutines (<= 0 means GOMAXPROCS); the flows are identical at
+// every worker count.
+func BudgetSweepParallel(in *core.Instance, maxK, workers int) ([]int64, error) {
 	if maxK < 0 {
 		return nil, fmt.Errorf("offline: negative budget %d", maxK)
 	}
 	if in.N() == 0 {
 		return make([]int64, maxK+1), nil
 	}
-	s, err := newSolver(in)
+	s, err := solveTables(in, maxK, workers)
 	if err != nil {
 		return nil, err
 	}
-	flows, _ := s.solve(maxK)
+	flows := make([]int64, maxK+1)
+	for k := range flows {
+		flows[k] = s.flowAt(k)
+	}
 	return flows, nil
 }
 
@@ -557,9 +582,17 @@ func BudgetSweep(in *core.Instance, maxK int) ([]int64, error) {
 // Section 3 cost, plus the minimizing budget and a schedule achieving it.
 // (The paper observes this reduction — "we can use a binary search to find
 // the optimal calibration budget"; a full sweep is exact and just as cheap
-// here because one DP run yields every budget.)
+// here because one DP run yields every budget.) It is
+// OptimalTotalCostParallel on one worker.
 func OptimalTotalCost(in *core.Instance, g int64) (total int64, bestK int, sched *core.Schedule, err error) {
-	return optimalTotalCost(in, g, nil)
+	return optimalTotalCost(in, g, 1, nil)
+}
+
+// OptimalTotalCostParallel is OptimalTotalCost with the table fill spread
+// over workers goroutines (<= 0 means GOMAXPROCS); total, budget and
+// schedule are identical at every worker count.
+func OptimalTotalCostParallel(in *core.Instance, g int64, workers int) (total int64, bestK int, sched *core.Schedule, err error) {
+	return optimalTotalCost(in, g, workers, nil)
 }
 
 // OptimalTotalCostTraced is OptimalTotalCost with decision tracing: the
@@ -568,31 +601,31 @@ func OptimalTotalCost(in *core.Instance, g int64) (total int64, bestK int, sched
 // calibrations the same way the online algorithms do. A nil sink degrades
 // to the untraced call.
 func OptimalTotalCostTraced(in *core.Instance, g int64, sink trace.Sink) (total int64, bestK int, sched *core.Schedule, err error) {
-	return optimalTotalCost(in, g, sink)
+	return optimalTotalCost(in, g, 1, sink)
 }
 
-func optimalTotalCost(in *core.Instance, g int64, sink trace.Sink) (total int64, bestK int, sched *core.Schedule, err error) {
+func optimalTotalCost(in *core.Instance, g int64, workers int, sink trace.Sink) (total int64, bestK int, sched *core.Schedule, err error) {
 	if g < 0 {
 		return 0, 0, nil, fmt.Errorf("offline: negative G %d", g)
 	}
 	if in.N() == 0 {
 		return 0, 0, core.NewSchedule(0), nil
 	}
-	s, err := newSolver(in)
+	maxK := in.N() // more calibrations than jobs never help
+	s, err := solveTables(in, maxK, workers)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	s.sink = sink
 	s.traceG = g
-	maxK := in.N() // more calibrations than jobs never help
-	flows, rebuild := s.solve(maxK)
 	best := inf
 	bestK = -1
 	for k := 0; k <= maxK; k++ {
-		if flows[k] == Unschedulable {
+		f := s.flowAt(k)
+		if f == Unschedulable {
 			continue
 		}
-		if c := core.MustAdd(core.MustMul(g, int64(k)), flows[k]); c < best {
+		if c := core.MustAdd(core.MustMul(g, int64(k)), f); c < best {
 			best = c
 			bestK = k
 		}
@@ -600,5 +633,5 @@ func optimalTotalCost(in *core.Instance, g int64, sink trace.Sink) (total int64,
 	if bestK < 0 {
 		return 0, 0, nil, fmt.Errorf("offline: no feasible schedule (empty budget range)")
 	}
-	return best, bestK, rebuild(bestK), nil
+	return best, bestK, s.rebuild(bestK), nil
 }

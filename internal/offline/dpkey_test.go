@@ -8,51 +8,19 @@ import (
 	"calibsched/internal/core"
 )
 
-// TestKeyFieldsDoNotOverlap pins the packing layout: the three indices
-// occupy disjoint bit fields right up to the documented limit.
-func TestKeyFieldsDoNotOverlap(t *testing.T) {
-	cases := []struct{ u, v, mu int }{
-		{0, 0, 0},
-		{1, 2, 3},
-		{MaxDPJobs, 0, 0},
-		{0, MaxDPJobs, 0},
-		{0, 0, MaxDPJobs},
-		{MaxDPJobs, MaxDPJobs, MaxDPJobs},
-		{MaxDPJobs, 1, MaxDPJobs - 1},
-	}
-	seen := make(map[uint64]struct{}, len(cases))
-	for _, c := range cases {
-		k := key(c.u, c.v, c.mu)
-		if gu := int(k >> (2 * keyBits)); gu != c.u {
-			t.Errorf("key(%d,%d,%d): recovered u = %d", c.u, c.v, c.mu, gu)
-		}
-		if gv := int(k >> keyBits & MaxDPJobs); gv != c.v {
-			t.Errorf("key(%d,%d,%d): recovered v = %d", c.u, c.v, c.mu, gv)
-		}
-		if gmu := int(k & MaxDPJobs); gmu != c.mu {
-			t.Errorf("key(%d,%d,%d): recovered mu = %d", c.u, c.v, c.mu, gmu)
-		}
-		if _, dup := seen[k]; dup {
-			t.Errorf("key(%d,%d,%d) collides with an earlier case", c.u, c.v, c.mu)
-		}
-		seen[k] = struct{}{}
-	}
-}
-
-// TestNewSolverRejectsOversizedInstance exercises the fail-fast guard:
-// beyond MaxDPJobs the packed memo keys would silently collide, so
-// newSolver must refuse the instance before allocating its O(n^2)
-// tables. The instance is built as a raw literal — core.NewInstance
-// would happily sort 2^21+1 jobs, but there is no need to pay for it.
+// TestNewSolverRejectsOversizedInstance exercises the memory guard:
+// beyond MaxDPJobs the dense tables would outgrow the documented bound,
+// so newSolver must refuse the instance before allocating them. The
+// instance is a raw literal, so nothing is sorted or canonicalized.
 func TestNewSolverRejectsOversizedInstance(t *testing.T) {
 	n := MaxDPJobs + 1
 	jobs := make([]core.Job, n)
 	for i := range jobs {
-		jobs[i] = core.Job{Release: int64(i)}
+		jobs[i] = core.Job{ID: i, Release: int64(i), Weight: 1}
 	}
 	in := &core.Instance{Jobs: jobs, P: 1, T: 4}
-	if _, err := newSolver(in); err == nil {
-		t.Fatalf("newSolver accepted %d jobs; memo keys only hold %d", n, MaxDPJobs)
+	if _, err := newSolver(in, 1); err == nil {
+		t.Fatalf("newSolver accepted %d jobs; the limit is %d", n, MaxDPJobs)
 	} else if !strings.Contains(err.Error(), "exceed the DP limit") {
 		t.Fatalf("unexpected error text: %v", err)
 	}
@@ -66,11 +34,39 @@ func TestNewSolverRejectsOversizedInstance(t *testing.T) {
 	if _, err := BudgetSweepParallel(in, 1, 2); err == nil {
 		t.Error("BudgetSweepParallel accepted an oversized instance")
 	}
+	if _, _, _, err := OptimalTotalCost(in, 1); err == nil {
+		t.Error("OptimalTotalCost accepted an oversized instance")
+	}
+	if _, _, _, _, err := TotalCostSearch(in, 1); err == nil {
+		t.Error("TotalCostSearch accepted an oversized instance")
+	}
 }
 
-// TestIndexedHelpersMatchScans cross-checks the O(log n) minRankAbove
-// and the binary-search prefixS against the original linear scans they
-// replaced, over every reachable (u, v, mu) state of random instances.
+// prefixSScan is Definition 4.5's s by a direct O(T + n) scan over the
+// state's releases, the reference for the binary-search prefixS.
+func prefixSScan(s *solver, u, v, mu int) int64 {
+	b := s.rel[v] + 1 - s.T
+	var rels []int64
+	for i := u; i <= v; i++ {
+		if s.rank[i] > mu {
+			rels = append(rels, s.rel[i])
+		}
+	}
+	ptr := 0
+	for h := int64(0); h <= s.T; h++ {
+		for ptr < len(rels) && rels[ptr] < b+h {
+			ptr++
+		}
+		if h%s.T == int64(ptr)%s.T {
+			return h
+		}
+	}
+	panic("offline: no busy-prefix fixed point; unreachable")
+}
+
+// TestIndexedHelpersMatchScans cross-checks the binary-search prefixS
+// against the direct scan over every reachable (u, v, mu) state of
+// random instances.
 func TestIndexedHelpersMatchScans(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	for trial := 0; trial < 120; trial++ {
@@ -79,21 +75,18 @@ func TestIndexedHelpersMatchScans(t *testing.T) {
 		if n == 0 {
 			continue
 		}
-		s, err := newSolver(in)
+		s, err := newSolver(in, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for u := 1; u <= n; u++ {
 			for v := u; v <= n; v++ {
 				for mu := 0; mu <= n; mu++ {
-					wantJ := s.minRankAboveScan(u, v, mu)
-					if gotJ := s.minRankAbove(u, v, mu); gotJ != wantJ {
-						t.Fatalf("minRankAbove(%d,%d,%d) = %d, scan = %d", u, v, mu, gotJ, wantJ)
-					}
-					// prefixS is only defined on states solveF reaches:
-					// nonempty J(u,v,mu) that passes the psi/jLast
-					// feasibility guard (otherwise no busy-prefix fixed
-					// point need exist). Replicate that guard here.
+					// prefixS is only defined on states solveState
+					// reaches: nonempty J(u,v,mu) that passes the
+					// psi/jLast feasibility guard (otherwise no
+					// busy-prefix fixed point need exist). Replicate that
+					// guard here.
 					if s.cnt(u, v, mu) == 0 {
 						continue
 					}
@@ -108,7 +101,7 @@ func TestIndexedHelpersMatchScans(t *testing.T) {
 					if !feasible {
 						continue
 					}
-					want := s.prefixSScan(u, v, mu)
+					want := prefixSScan(s, u, v, mu)
 					if got := s.prefixS(u, v, mu); got != want {
 						t.Fatalf("prefixS(%d,%d,%d) = %d, scan = %d", u, v, mu, got, want)
 					}

@@ -1,74 +1,29 @@
 package offline
 
-// Parallel variant of the Section 4 dynamic program. The memoized
-// top-down solver in dp.go is strictly sequential: its recursion shares
-// two maps, so a budget sweep runs at single-goroutine speed no matter
-// how many cores the box has. This file computes the identical tables
-// bottom-up in level-synchronous waves that fan out across workers:
+// The DP's tables are filled bottom-up in level-synchronous waves that
+// fan out across the solver's workers:
 //
 //   - Proposition 2 layer: a state (u, v, mu) depends only on states of
 //     the same interval with strictly higher mu, and on states of
 //     strictly shorter intervals. Processing intervals by increasing
 //     length therefore makes every interval of one length independent of
 //     the others, and within an interval the mu chain resolves by one
-//     descending pass. mu itself is canonicalized to c = |{ranks in
-//     [u,v] that are <= mu}| — f(u,v,mu) depends on mu only through the
-//     job set J(u,v,mu), so the table needs len+1 entries per interval,
-//     not n.
+//     descending pass (solveInterval).
 //   - Proposition 1 layer: F(k, v) depends only on rows with smaller k,
 //     so the budget levels run in sequence with each level's v states
 //     fanned out across workers.
 //
-// Choice resolution replicates dp.go state for state — same iteration
-// order, same strict-< comparisons — so flows, budgets, and
-// reconstructed schedules are byte-identical to the sequential solver
-// (proven by the differential tests in parallel_test.go and
-// internal/solve, under -race).
-//
-// Beyond MaxParallelJobs the dense tables stop paying for themselves
-// (O(n^3/6) entries) and every exported entry point falls back to the
-// lazily memoized sequential solver, which touches only reachable
-// states.
+// Every state is written by exactly one worker and read only after its
+// wave has finished, so the worker count changes the speed, never the
+// tables (TestParallelWorkerCountsAgree and TestDPGolden, run under
+// -race in CI). With one worker the waves run inline on the caller's
+// goroutine.
 
 import (
-	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"calibsched/internal/core"
-	"calibsched/internal/simul"
 )
-
-// MaxParallelJobs is the largest instance the table-based parallel
-// solver accepts before falling back to the sequential solver: the dense
-// Proposition 2 table holds about n^3/6 states, which at n = 256 is
-// ~2.9M entries (~70 MB across the value and choice arrays).
-const MaxParallelJobs = 256
-
-// parSolver holds the dense DP tables. It embeds the sequential solver
-// purely for its read-only precomputation (rel, w, rank, pos, pre, the
-// rank index, relWeight); the memo maps are never touched.
-type parSolver struct {
-	s       *solver
-	workers int
-
-	// Proposition 2 layer, flattened: interval (u, v) owns the slots
-	// [base[u][v], base[u][v]+len+1], indexed by the canonical state
-	// c = |{ranks in [u,v]} <= mu| (c == len is the empty state).
-	base    [][]int64
-	val     []int64
-	chKind  []uint8
-	chE     []int32
-	chSlot  []int64
-	chSplit []int32
-
-	// Proposition 1 layer: row-major (maxK+1) x (n+1).
-	maxK int
-	fTop []int64
-	uTop []int32
-}
 
 // parallelWorkers clamps a worker count: <= 0 means GOMAXPROCS.
 func parallelWorkers(workers int) int {
@@ -78,141 +33,12 @@ func parallelWorkers(workers int) int {
 	return workers
 }
 
-func newParSolver(s *solver, workers int) *parSolver {
-	n := s.n
-	p := &parSolver{s: s, workers: parallelWorkers(workers)}
-	p.base = make([][]int64, n+1)
-	var total int64
-	for u := 1; u <= n; u++ {
-		p.base[u] = make([]int64, n+1)
-		for v := u; v <= n; v++ {
-			p.base[u][v] = total
-			total += int64(v-u) + 2 // states c = 0..len
-		}
-	}
-	p.val = make([]int64, total)
-	p.chKind = make([]uint8, total)
-	p.chE = make([]int32, total)
-	p.chSlot = make([]int64, total)
-	p.chSplit = make([]int32, total)
-	return p
-}
-
-// getF reads f(a, b, mu) from the dense table: the canonical index is
-// c = len - |J(a,b,mu)|, and the empty state (c == len) holds 0.
-func (p *parSolver) getF(a, b, mu int) int64 {
-	c := int64(b-a+1) - p.s.cnt(a, b, mu)
-	return p.val[p.base[a][b]+c]
-}
-
-// parScratch is per-worker reusable state for the bottom-up passes,
-// which — unlike the top-down recursion — never re-enter a state, so the
-// buffers are safe to reuse across states.
-type parScratch struct {
-	psi   []int
-	ranks []int
-}
-
-func newParScratch(n int) *parScratch {
-	return &parScratch{psi: make([]int, 0, n), ranks: make([]int, 0, n)}
-}
-
-// solveInterval fills every state of interval (u, v), descending c so
-// that the same-interval dependencies (strictly higher mu) are ready.
-func (p *parSolver) solveInterval(u, v int, sc *parScratch) {
-	s := p.s
-	length := v - u + 1
-	off := p.base[u][v]
-	ranks := sc.ranks[:0]
-	for i := u; i <= v; i++ {
-		ranks = append(ranks, s.rank[i])
-	}
-	sort.Ints(ranks)
-	sc.ranks = ranks
-	p.val[off+int64(length)] = 0
-	p.chKind[off+int64(length)] = uint8(choiceEmpty)
-	for c := length - 1; c >= 0; c-- {
-		mu := 0
-		if c > 0 {
-			mu = ranks[c-1]
-		}
-		e := s.pos[ranks[c]] // the smallest rank above mu lives at ranks[c]
-		best, ch := p.solveState(u, v, mu, e, sc)
-		p.val[off+int64(c)] = best
-		p.chKind[off+int64(c)] = uint8(ch.kind)
-		p.chE[off+int64(c)] = int32(ch.e)
-		p.chSlot[off+int64(c)] = ch.slot
-		p.chSplit[off+int64(c)] = int32(ch.split)
-	}
-}
-
-// solveState is solveF against the dense table: identical candidate
-// order and identical strict-< comparisons, with the recursive f calls
-// replaced by getF lookups.
-func (p *parSolver) solveState(u, v, mu, e int, sc *parScratch) (int64, choice) {
-	s := p.s
-	b := s.rel[v] + 1 - s.T
-
-	psi := sc.psi[:0]
-	for j := u; j <= v-1; j++ {
-		if s.rank[j] > mu && s.cnt(u, j, mu)%s.T == 0 {
-			psi = append(psi, j)
-		}
-	}
-	sc.psi = psi
-	if len(psi) > 0 {
-		jLast := psi[len(psi)-1]
-		if b <= s.rel[jLast] {
-			return inf, choice{}
-		}
-	}
-
-	sPrefix := s.prefixS(u, v, mu)
-	best := inf
-	var bestCh choice
-
-	if s.rel[e] >= b+sPrefix {
-		if rest := p.getF(u, v, s.rank[e]); rest < inf {
-			if c := core.MustAdd(rest, core.MustMul(s.w[e], s.rel[e]+1)); c < best {
-				best = c
-				bestCh = choice{kind: choiceAtRelease, e: e, slot: s.rel[e]}
-			}
-		}
-	} else if sPrefix > 0 {
-		if rest := p.getF(u, v, s.rank[e]); rest < inf {
-			if c := core.MustAdd(rest, core.MustMul(s.w[e], b+sPrefix)); c < best {
-				best = c
-				bestCh = choice{kind: choiceBusyPrefix, e: e, slot: b + sPrefix - 1}
-			}
-		}
-	}
-
-	for _, j := range psi {
-		if s.rel[j] < s.rel[e] {
-			continue
-		}
-		left := p.getF(u, j, mu)
-		if left >= inf {
-			continue
-		}
-		right := p.getF(j+1, v, mu)
-		if right >= inf {
-			continue
-		}
-		if c := left + right; c < best {
-			best = c
-			bestCh = choice{kind: choiceSplit, split: j}
-		}
-	}
-	return best, bestCh
-}
-
 // fanOut runs fn(i, scratch) for i = 1..count across the solver's
 // workers and waits for the wave to finish.
-func (p *parSolver) fanOut(count int, fn func(i int, sc *parScratch)) {
-	workers := min(p.workers, count)
+func (s *solver) fanOut(count int, fn func(i int, sc *scratch)) {
+	workers := min(s.workers, count)
 	if workers <= 1 {
-		sc := newParScratch(p.s.n)
+		sc := newScratch(s.n)
 		for i := 1; i <= count; i++ {
 			fn(i, sc)
 		}
@@ -224,7 +50,7 @@ func (p *parSolver) fanOut(count int, fn func(i int, sc *parScratch)) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			sc := newParScratch(p.s.n)
+			sc := newScratch(s.n)
 			for {
 				i := int(next.Add(1))
 				if i > count {
@@ -239,217 +65,29 @@ func (p *parSolver) fanOut(count int, fn func(i int, sc *parScratch)) {
 
 // buildProp2 fills the whole Proposition 2 layer, one interval-length
 // level at a time; intervals within a level are independent.
-func (p *parSolver) buildProp2() {
-	n := p.s.n
+func (s *solver) buildProp2() {
+	n := s.n
 	for length := 1; length <= n; length++ {
-		p.fanOut(n-length+1, func(u int, sc *parScratch) {
-			p.solveInterval(u, u+length-1, sc)
+		s.fanOut(n-length+1, func(u int, sc *scratch) {
+			s.solveInterval(u, u+length-1, sc)
 		})
 	}
-}
-
-// topF reads F(k, v) with the same boundary semantics as fTable.
-func (p *parSolver) topF(k, v int) int64 {
-	if v == 0 {
-		return 0
-	}
-	if k <= 0 {
-		return inf
-	}
-	return p.fTop[k*(p.s.n+1)+v]
 }
 
 // buildTop fills the Proposition 1 layer for budgets 0..maxK; each
 // budget level fans its v states out across workers.
-func (p *parSolver) buildTop(maxK int) {
-	n := p.s.n
-	p.maxK = maxK
-	p.fTop = make([]int64, (maxK+1)*(n+1))
-	p.uTop = make([]int32, (maxK+1)*(n+1))
+func (s *solver) buildTop(maxK int) {
+	n := s.n
+	s.maxK = maxK
+	s.fTop = make([]int64, (maxK+1)*(n+1))
+	s.uTop = make([]int32, (maxK+1)*(n+1))
 	for v := 1; v <= n; v++ {
-		p.fTop[v] = inf // k == 0 cannot schedule anything
+		s.fTop[v] = inf // k == 0 cannot schedule anything
 	}
 	for k := 1; k <= maxK; k++ {
 		row := k * (n + 1)
-		p.fanOut(n, func(v int, _ *parScratch) {
-			best, bestU := p.topState(k, v)
-			p.fTop[row+v] = best
-			p.uTop[row+v] = bestU
+		s.fanOut(n, func(v int, _ *scratch) {
+			s.fTop[row+v], s.uTop[row+v] = s.topState(k, v)
 		})
 	}
-}
-
-// topState is one fTable state against the dense tables: identical
-// candidate order and comparisons.
-func (p *parSolver) topState(k, v int) (int64, int32) {
-	s := p.s
-	if core.MustMul(int64(k), s.T) < int64(v) {
-		return inf, 0
-	}
-	best := inf
-	bestU := 0
-	for u := 1; u <= v; u++ {
-		need := int(simul.CeilDiv(int64(v-u+1), s.T))
-		if need > k {
-			continue
-		}
-		prev := p.topF(k-need, u-1)
-		if prev >= inf {
-			continue
-		}
-		g := p.getF(u, v, 0)
-		if g >= inf {
-			continue
-		}
-		if c := prev + g; c < best {
-			best = c
-			bestU = u
-		}
-	}
-	return best, int32(bestU)
-}
-
-// flowAt mirrors solver.flowAt over the dense tables.
-func (p *parSolver) flowAt(k int) int64 {
-	if k > p.maxK {
-		panic(fmt.Sprintf("offline: parallel flowAt(%d) beyond built budget %d", k, p.maxK))
-	}
-	val := p.topF(k, p.s.n)
-	if val >= inf {
-		return Unschedulable
-	}
-	return val - p.s.relWeight
-}
-
-// rebuild mirrors solver.rebuild over the dense choice tables.
-func (p *parSolver) rebuild(k int) *core.Schedule {
-	if p.flowAt(k) == Unschedulable {
-		return nil
-	}
-	s := p.s
-	starts := make([]int64, s.n+1)
-	v := s.n
-	kk := k
-	for v > 0 {
-		u := int(p.uTop[kk*(s.n+1)+v])
-		if u == 0 {
-			panic("offline: broken parallel F reconstruction chain")
-		}
-		p.emitF(u, v, 0, starts)
-		kk -= int(simul.CeilDiv(int64(v-u+1), s.T))
-		v = u - 1
-	}
-	return scheduleFromStarts(s, starts)
-}
-
-// emitF mirrors solver.emitF over the dense choice tables.
-func (p *parSolver) emitF(u, v, mu int, starts []int64) {
-	s := p.s
-	for s.cnt(u, v, mu) > 0 {
-		idx := p.base[u][v] + int64(v-u+1) - s.cnt(u, v, mu)
-		switch choiceKind(p.chKind[idx]) {
-		case choiceAtRelease, choiceBusyPrefix:
-			e := int(p.chE[idx])
-			starts[e] = p.chSlot[idx]
-			mu = s.rank[e]
-		case choiceSplit:
-			j := int(p.chSplit[idx])
-			p.emitF(u, j, mu, starts)
-			u = j + 1
-		default:
-			panic("offline: empty parallel choice for nonempty state")
-		}
-	}
-}
-
-// BudgetSweepParallel is BudgetSweep computed by the parallel bottom-up
-// solver: flows[k] for k = 0..maxK, byte-identical to the sequential
-// sweep. workers <= 0 means GOMAXPROCS; instances beyond MaxParallelJobs
-// fall back to the sequential solver.
-func BudgetSweepParallel(in *core.Instance, maxK, workers int) ([]int64, error) {
-	if maxK < 0 {
-		return nil, fmt.Errorf("offline: negative budget %d", maxK)
-	}
-	if in.N() == 0 {
-		return make([]int64, maxK+1), nil
-	}
-	if in.N() > MaxParallelJobs {
-		return BudgetSweep(in, maxK)
-	}
-	s, err := newSolver(in)
-	if err != nil {
-		return nil, err
-	}
-	p := newParSolver(s, workers)
-	p.buildProp2()
-	p.buildTop(maxK)
-	flows := make([]int64, maxK+1)
-	for k := 0; k <= maxK; k++ {
-		flows[k] = p.flowAt(k)
-	}
-	return flows, nil
-}
-
-// OptimalFlowParallel is OptimalFlow computed by the parallel bottom-up
-// solver, byte-identical to the sequential result.
-func OptimalFlowParallel(in *core.Instance, k, workers int) (*DPResult, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("offline: negative budget %d", k)
-	}
-	if in.N() == 0 {
-		return &DPResult{Flow: 0, Schedule: core.NewSchedule(0)}, nil
-	}
-	if in.N() > MaxParallelJobs {
-		return OptimalFlow(in, k)
-	}
-	s, err := newSolver(in)
-	if err != nil {
-		return nil, err
-	}
-	p := newParSolver(s, workers)
-	p.buildProp2()
-	p.buildTop(k)
-	if p.flowAt(k) == Unschedulable {
-		return nil, fmt.Errorf("offline: %d calibrations of length %d cannot schedule %d jobs", k, in.T, in.N())
-	}
-	return &DPResult{Flow: p.flowAt(k), Schedule: p.rebuild(k)}, nil
-}
-
-// OptimalTotalCostParallel is OptimalTotalCost computed by the parallel
-// bottom-up solver: min over k of G*k + flow(k), with the identical
-// minimizing budget and schedule.
-func OptimalTotalCostParallel(in *core.Instance, g int64, workers int) (total int64, bestK int, sched *core.Schedule, err error) {
-	if g < 0 {
-		return 0, 0, nil, fmt.Errorf("offline: negative G %d", g)
-	}
-	if in.N() == 0 {
-		return 0, 0, core.NewSchedule(0), nil
-	}
-	if in.N() > MaxParallelJobs {
-		return OptimalTotalCost(in, g)
-	}
-	s, err := newSolver(in)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	p := newParSolver(s, workers)
-	maxK := in.N() // more calibrations than jobs never help
-	p.buildProp2()
-	p.buildTop(maxK)
-	best := inf
-	bestK = -1
-	for k := 0; k <= maxK; k++ {
-		f := p.flowAt(k)
-		if f == Unschedulable {
-			continue
-		}
-		if c := core.MustAdd(core.MustMul(g, int64(k)), f); c < best {
-			best = c
-			bestK = k
-		}
-	}
-	if bestK < 0 {
-		return 0, 0, nil, fmt.Errorf("offline: no feasible schedule (empty budget range)")
-	}
-	return best, bestK, p.rebuild(bestK), nil
 }

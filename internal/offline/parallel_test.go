@@ -8,10 +8,11 @@ import (
 	"calibsched/internal/core"
 )
 
-// TestParallelSweepMatchesSequential is the central differential for the
-// parallel solver: on hundreds of random canonical instances the
-// parallel budget sweep must reproduce the sequential sweep entry for
-// entry. Run under -race in CI, it also proves the level-synchronous
+// TestParallelSweepMatchesSequential pins the sweep on hundreds of
+// random canonical instances: the one-worker BudgetSweep equals the
+// brute-force optimum at every budget (Unschedulable exactly where brute
+// force finds no schedule), and the multi-worker sweeps reproduce it entry
+// for entry. Run under -race in CI, it also proves the level-synchronous
 // fan-out has no data races.
 func TestParallelSweepMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2026, 805))
@@ -22,7 +23,19 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: sequential sweep: %v", trial, err)
 		}
-		for _, workers := range []int{1, 2, 7} {
+		for k, flow := range want {
+			brute, berr := BruteForce(in, k)
+			if flow == Unschedulable {
+				if berr == nil {
+					t.Fatalf("trial %d k=%d: DP unschedulable, brute %d", trial, k, brute.Flow)
+				}
+				continue
+			}
+			if berr != nil || brute.Flow != flow {
+				t.Fatalf("trial %d k=%d: DP %d != brute (%v, %v)", trial, k, flow, brute, berr)
+			}
+		}
+		for _, workers := range []int{2, 7} {
 			got, err := BudgetSweepParallel(in, maxK, workers)
 			if err != nil {
 				t.Fatalf("trial %d: parallel sweep (workers=%d): %v", trial, workers, err)
@@ -34,10 +47,10 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelTotalCostMatchesSequential proves the full result triple —
-// total, minimizing budget, and the reconstructed schedule — is
-// byte-identical between the solvers, calendar entries and per-job
-// assignments included.
+// TestParallelTotalCostMatchesSequential checks the full result triple:
+// the one-worker total equals the brute-force optimum and the cost of its
+// own valid schedule, and four workers reproduce total, minimizing budget
+// and schedule (calendar entries and per-job assignments included).
 func TestParallelTotalCostMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 42))
 	for trial := 0; trial < 200; trial++ {
@@ -46,6 +59,20 @@ func TestParallelTotalCostMatchesSequential(t *testing.T) {
 		wantTotal, wantK, wantSched, err := OptimalTotalCost(in, g)
 		if err != nil {
 			t.Fatalf("trial %d: sequential: %v", trial, err)
+		}
+		bruteTotal, _, err := BruteForceTotalCost(in, g)
+		if err != nil {
+			t.Fatalf("trial %d: brute: %v", trial, err)
+		}
+		if wantTotal != bruteTotal {
+			t.Fatalf("trial %d: DP total %d != brute %d", trial, wantTotal, bruteTotal)
+		}
+		if err := core.Validate(in, wantSched); err != nil {
+			t.Fatalf("trial %d: schedule invalid: %v", trial, err)
+		}
+		if c := core.TotalCost(in, wantSched, g); c != wantTotal || wantSched.NumCalibrations() > wantK {
+			t.Fatalf("trial %d: schedule costs %d with %d calibrations, reported %d at k=%d",
+				trial, c, wantSched.NumCalibrations(), wantTotal, wantK)
 		}
 		gotTotal, gotK, gotSched, err := OptimalTotalCostParallel(in, g, 4)
 		if err != nil {
@@ -58,9 +85,6 @@ func TestParallelTotalCostMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(gotSched, wantSched) {
 			t.Fatalf("trial %d: schedules differ\nparallel:   %+v\nsequential: %+v", trial, gotSched, wantSched)
 		}
-		if err := core.Validate(in, gotSched); err != nil {
-			t.Fatalf("trial %d: parallel schedule invalid: %v", trial, err)
-		}
 	}
 }
 
@@ -72,6 +96,14 @@ func TestParallelOptimalFlowMatchesSequential(t *testing.T) {
 		want, err := OptimalFlow(in, k)
 		if err != nil {
 			t.Fatalf("trial %d: sequential: %v", trial, err)
+		}
+		brute, err := BruteForce(in, k)
+		if err != nil {
+			t.Fatalf("trial %d: brute: %v", trial, err)
+		}
+		if want.Flow != brute.Flow || core.Flow(in, want.Schedule) != want.Flow {
+			t.Fatalf("trial %d: DP flow %d (schedule flow %d) != brute %d",
+				trial, want.Flow, core.Flow(in, want.Schedule), brute.Flow)
 		}
 		got, err := OptimalFlowParallel(in, k, 3)
 		if err != nil {

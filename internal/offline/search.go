@@ -16,9 +16,9 @@ import (
 // has diminishing returns) and hence G*k + flow(k) is convex; the
 // reproduction does not take this on faith — TestTernaryMatchesSweep and
 // TestFlowConvexity cross-check against the exhaustive sweep on thousands
-// of randomized instances. Thanks to the lazily memoized Proposition 1
-// layer, the search evaluates the DP at O(log n) budgets only, which is
-// the point of the remark.
+// of randomized instances. The DP fills its tables bottom-up for every
+// budget, so the search saves no DP work: it reads the objective at
+// O(log n) budgets instead of all n, which is the shape of the remark.
 //
 // It returns the optimal total cost, the minimizing budget, the number of
 // distinct budgets probed, and a schedule achieving the optimum.
@@ -29,7 +29,7 @@ func TotalCostSearch(in *core.Instance, g int64) (total int64, bestK, probes int
 	if in.N() == 0 {
 		return 0, 0, 0, core.NewSchedule(0), nil
 	}
-	s, err := newSolver(in)
+	s, err := solveTables(in, in.N(), 1)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}

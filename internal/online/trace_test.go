@@ -3,6 +3,9 @@ package online
 import (
 	"encoding/json"
 	"math/rand/v2"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"calibsched/internal/core"
@@ -245,4 +248,85 @@ func BenchmarkStepperRingSink(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		driveBench(NewAlg2Stepper(in.T, 64, WithSink(trace.NewRing(1024))), in)
 	}
+}
+
+// TestExplanationFlowInequalitiesHold renders alg1 and alg2 decision
+// traces through trace.WriteExplanation and checks every flow-open
+// "fired because" line numerically: any "a + b = c" in it must add up,
+// c must be the flow the engines actually test, f(t+1) = f(t) + w(Q),
+// and the printed inequality "c >= G" must be true. The instances are
+// dense enough that the flow rule fires with f(t) < G <= f(t+1).
+func TestExplanationFlowInequalitiesHold(t *testing.T) {
+	sum := regexp.MustCompile(`(\d+) \+ (\d+) = (\d+)`)
+	ineq := regexp.MustCompile(`(\d+) >= G = (\d+)$`)
+	checked, tight := 0, 0
+	for _, alg := range []string{"alg1", "alg2"} {
+		weights := workload.WeightUnit
+		if alg == "alg2" {
+			weights = workload.WeightUniform
+		}
+		for seed := uint64(1); seed <= 8; seed++ {
+			spec := workload.Spec{N: 60, P: 1, T: 6, Seed: seed, Arrival: workload.ArrivalPoisson, Lambda: 0.3, Weights: weights, WMax: 5}
+			in, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range []int64{8, 40, 120} {
+				rec := &trace.Recorder{}
+				runTraced(t, alg, in.Canonicalize(), g, rec)
+				evs := rec.Events()
+				var b strings.Builder
+				if err := trace.WriteExplanation(&b, in.T, g, evs); err != nil {
+					t.Fatal(err)
+				}
+				blocks := strings.Split(strings.TrimSuffix(b.String(), "\n\n"), "\n\n")
+				if len(blocks) != len(evs) {
+					t.Fatalf("%s seed %d G=%d: %d blocks for %d events", alg, seed, g, len(blocks), len(evs))
+				}
+				for i, ev := range evs {
+					if !strings.HasSuffix(ev.Rule, ".flow-open") {
+						continue
+					}
+					var line string
+					for _, l := range strings.Split(blocks[i], "\n") {
+						if strings.HasPrefix(l, "  fired because ") {
+							line = l
+						}
+					}
+					m := ineq.FindStringSubmatch(line)
+					if m == nil {
+						t.Fatalf("%s seed %d G=%d event %d: no inequality in %q", alg, seed, g, i, line)
+					}
+					for _, s := range sum.FindAllStringSubmatch(line, -1) {
+						if atoi(t, s[1])+atoi(t, s[2]) != atoi(t, s[3]) {
+							t.Fatalf("%s seed %d G=%d event %d: false sum in %q", alg, seed, g, i, line)
+						}
+					}
+					lhs, rhs := atoi(t, m[1]), atoi(t, m[2])
+					if rhs != g || lhs < rhs {
+						t.Fatalf("%s seed %d G=%d event %d: printed inequality is false: %q", alg, seed, g, i, line)
+					}
+					if want := ev.ProspectiveFlow + ev.QueueWeight; lhs != want {
+						t.Fatalf("%s seed %d G=%d event %d: printed flow %d, engines test f(t+1) = %d: %q", alg, seed, g, i, lhs, want, line)
+					}
+					checked++
+					if ev.ProspectiveFlow < g {
+						tight++
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 || tight == 0 {
+		t.Fatalf("checked %d flow-open lines, %d with f(t) < G; the instances no longer exercise the flow rule", checked, tight)
+	}
+}
+
+func atoi(t *testing.T, s string) int64 {
+	t.Helper()
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

@@ -64,8 +64,8 @@ type Config struct {
 	// POST /v1/solve answers 429 (default 64); SolveCacheSize is the
 	// S3-FIFO result-cache capacity in entries (default 128, negative
 	// disables); SolveMaxJobs rejects larger instances with a 400
-	// (default offline.MaxParallelJobs). The pool itself applies these
-	// defaults — see solve.Options.
+	// (default 256). The pool itself applies these defaults — see
+	// solve.Options.
 	SolveWorkers    int
 	SolveQueueDepth int
 	SolveCacheSize  int

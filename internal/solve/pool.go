@@ -110,6 +110,11 @@ type Snapshot struct {
 	Handles    int
 }
 
+// defaultMaxJobs is the service's own instance-size cap. The exact DP
+// accepts up to offline.MaxDPJobs jobs, but a cold solve's time and table
+// memory both grow about as n^3, so the service admits smaller instances.
+const defaultMaxJobs = 256
+
 // Options configures a Pool; zero values take the documented defaults.
 type Options struct {
 	// Workers is the number of concurrent DP runs (default GOMAXPROCS).
@@ -124,7 +129,7 @@ type Options struct {
 	// offline.*Parallel solvers (default GOMAXPROCS).
 	SolveWorkers int
 	// MaxJobs rejects instances larger than this at Submit
-	// (default offline.MaxParallelJobs).
+	// (default 256).
 	MaxJobs int
 	// MaxHandles bounds retained finished handles; the oldest finished
 	// handle is forgotten first (default 1024).
@@ -154,7 +159,7 @@ func (o Options) withDefaults() Options {
 		o.SolveWorkers = runtime.GOMAXPROCS(0)
 	}
 	if o.MaxJobs <= 0 {
-		o.MaxJobs = offline.MaxParallelJobs
+		o.MaxJobs = defaultMaxJobs
 	}
 	if o.MaxHandles <= 0 {
 		o.MaxHandles = 1024

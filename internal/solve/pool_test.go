@@ -60,7 +60,7 @@ func waitDone(t *testing.T, p *Pool, id string) Status {
 
 // TestPoolDifferential is the tentpole correctness gate: every request
 // kind, served through the pool (parallel DP + cache + dedup), must be
-// byte-identical to the sequential solver — flow values, bestK, and the
+// byte-identical to the one-worker solver — flow values, bestK, and the
 // full schedule. Run under -race in CI.
 func TestPoolDifferential(t *testing.T) {
 	p := New(Options{Workers: 4, SolveWorkers: 2})

@@ -169,7 +169,7 @@ func TestWriteExplanation(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"calibration #1", "rule=alg1.count-open", "T*|Q| = 4*3 = 12 >= G = 12",
-		"calibration #2", "prospective flow 12 >= G = 12", "Lemma 3.2",
+		"calibration #2", "flow from t+1 = prospective flow + w(Q) = 12 + 1 = 13 >= G = 12", "Lemma 3.2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explanation missing %q:\n%s", want, out)

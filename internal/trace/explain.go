@@ -78,7 +78,11 @@ func WriteExplanation(w io.Writer, t, g int64, events []DecisionEvent) error {
 func triggerInequality(ev DecisionEvent, t, g int64) string {
 	switch ev.Rule {
 	case "alg1.flow-open", "alg2.flow-open", "alg3.flow-open", "alg2multi.flow-open":
-		return fmt.Sprintf("prospective flow %d >= G = %d", ev.ProspectiveFlow, g)
+		// The engines test the flow of the queue scheduled from t+1, which
+		// is the event's prospective flow (scheduled from t) plus one more
+		// step of waiting for every queued job: f(t+1) = f(t) + w(Q).
+		return fmt.Sprintf("flow from t+1 = prospective flow + w(Q) = %d + %d = %d >= G = %d",
+			ev.ProspectiveFlow, ev.QueueWeight, ev.ProspectiveFlow+ev.QueueWeight, g)
 	case "alg1.count-open", "alg3.count-open":
 		return fmt.Sprintf("T*|Q| = %d*%d = %d >= G = %d", t, ev.QueueLen, t*int64(ev.QueueLen), g)
 	case "alg2.weight-open", "alg2multi.weight-open":

@@ -14,7 +14,9 @@ const Unschedulable = offline.Unschedulable
 // OptimalFlow computes the exact minimum total weighted flow on one
 // machine using at most k calibrations, via the paper's Section 4 dynamic
 // program (Theorem 4.7, O(K n^3)). The instance must have distinct release
-// times (use Instance.Canonicalize).
+// times (use Instance.Canonicalize) and at most 512 jobs (offline.MaxDPJobs,
+// the DP's memory limit: about 546 MiB of tables at 512 jobs); every exact
+// solver here rejects larger instances with an error.
 func OptimalFlow(in *Instance, k int) (*OfflineResult, error) {
 	return offline.OptimalFlow(in, k)
 }
@@ -34,8 +36,9 @@ func OptimalTotalCost(in *Instance, g int64) (total int64, bestK int, sched *Sch
 
 // TotalCostSearch is OptimalTotalCost via ternary search over the budget —
 // the paper's "binary search between 1 and n calibrations" remark — exact
-// because the flow-versus-budget frontier is convex (property-tested), and
-// probing only O(log n) budgets of the lazily memoized DP.
+// because the flow-versus-budget frontier is convex (property-tested). The
+// DP fills its tables for every budget bottom-up, so the search saves no
+// DP work; it reads the objective at only O(log n) budgets.
 func TotalCostSearch(in *Instance, g int64) (total int64, bestK, probes int, sched *Schedule, err error) {
 	return offline.TotalCostSearch(in, g)
 }
