@@ -95,6 +95,16 @@ func BenchmarkAlg3Online(b *testing.B) {
 	}
 }
 
+func BenchmarkAlg2MultiOnline(b *testing.B) {
+	in := benchInstance(2000, 4, 1.5, true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := calibsched.Alg2Multi(in, 128); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimFastForward vs BenchmarkSimNaive quantify the event-skipping
 // ablation: identical schedules, very different step counts (a lone job
 // waits Theta(G) steps under the naive clock).

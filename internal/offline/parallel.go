@@ -34,7 +34,10 @@ func parallelWorkers(workers int) int {
 }
 
 // fanOut runs fn(i, scratch) for i = 1..count across the solver's
-// workers and waits for the wave to finish.
+// workers and waits for the wave to finish. A panic in a worker (an
+// overflow in the exact arithmetic) is raised again on the calling
+// goroutine once the wave ends, where the caller can recover it, as it
+// could on one worker.
 func (s *solver) fanOut(count int, fn func(i int, sc *scratch)) {
 	workers := min(s.workers, count)
 	if workers <= 1 {
@@ -46,10 +49,17 @@ func (s *solver) fanOut(count int, fn func(i int, sc *scratch)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var once sync.Once
+	var fault any
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { fault = r })
+				}
+			}()
 			sc := newScratch(s.n)
 			for {
 				i := int(next.Add(1))
@@ -61,6 +71,9 @@ func (s *solver) fanOut(count int, fn func(i int, sc *scratch)) {
 		}()
 	}
 	wg.Wait()
+	if fault != nil {
+		panic(fault)
+	}
 }
 
 // buildProp2 fills the whole Proposition 2 layer, one interval-length

@@ -13,14 +13,14 @@
 // assigns jobs once calibration times are fixed.
 //
 // Algorithms 1 and 2 have one implementation, Stepper, which calibserved
-// serves and the batch Alg1/Alg2 drive. Its Step simulates one time step
-// as the paper's pseudocode does and is the per-tick reference; its
-// Advance is the fast path, jumping between arrivals, interval ends and
-// analytically solved flow-trigger times, so a batch run costs time
-// polynomial in the number of jobs rather than in the time horizon (a lone
-// job waits Theta(G) steps before its flow trigger fires). Alg3 and
-// Alg2Multi keep their own loops over internal/simul, with a naive
-// per-time-step mode and the same event skipping. Every fast path is
+// serves and the batch Alg1/Alg2 drive; Algorithm 3 and Alg2Multi have
+// one, multiStepper, which the batch Alg3/Alg2Multi drive. Both have the
+// same shape: Step simulates one time step as the paper's pseudocode does
+// and is the per-tick reference, and Advance is the fast path, jumping
+// between arrivals, interval ends, free machine slots and analytically
+// solved flow-trigger times, so a batch run costs time polynomial in the
+// number of jobs rather than in the time horizon (a lone job waits
+// Theta(G) steps before its flow trigger fires). Every fast path is
 // differentially tested against its per-tick reference.
 package online
 
@@ -84,13 +84,15 @@ type Result struct {
 	// Lemma 3.7's statement) the paper's f_l^q, and experiment E17 uses it
 	// to verify Lemma 3.7 against exhaustive OPT_r.
 	FlowAtCalibration []int64
-	// JobsByCalibration, filled only by Algorithm 3 with
-	// WithoutObservationReplay, attributes each scheduled job to the
-	// calibration that was most recent on its machine when the algorithm
-	// placed it: JobsByCalibration[i] lists the job IDs belonging to
-	// Schedule.Calendar[i] in the algorithm's own accounting. This is the
-	// J_i of Observation 3.9 — with overlapping intervals on one machine a
-	// purely geometric attribution would differ.
+	// JobsByCalibration, filled by Algorithm 3 and Alg2Multi with
+	// WithoutObservationReplay, attributes each scheduled job, packed or
+	// run on an idle calibrated machine, to the calibration that was most
+	// recent on its machine when the algorithm placed it:
+	// JobsByCalibration[i] lists the job IDs belonging to
+	// Schedule.Calendar[i] in the algorithm's own accounting, so every job
+	// appears exactly once. This is the J_i of Observation 3.9 — with
+	// overlapping intervals on one machine a purely geometric attribution
+	// would differ.
 	JobsByCalibration [][]int
 }
 
@@ -98,9 +100,10 @@ type Result struct {
 // algorithms as analyzed (with the line-13 typo corrected, see DESIGN.md).
 type Options struct {
 	// Naive forces per-time-step simulation instead of event skipping:
-	// the batch Alg1/Alg2 call Stepper.Step for every tick instead of
-	// Advance between arrivals, the paper-literal reference the fast
-	// path is differentially tested against. Steppers ignore it.
+	// the batch Alg1/Alg2 (Alg3/Alg2Multi) call Stepper.Step
+	// (multiStepper.Step) for every tick instead of Advance between
+	// arrivals, the paper-literal reference the fast path is
+	// differentially tested against. Steppers ignore it.
 	Naive bool
 	// NoImmediateCalibrations disables Algorithm 1's "previous interval
 	// had flow < G/2" rule (ablation E7).
@@ -114,11 +117,11 @@ type Options struct {
 	// strategy the paper's Section 3.1 discussion starts from (baseline
 	// for E9).
 	FlowTriggerOnly bool
-	// NoObservationReplay keeps Algorithm 3's explicit in-interval packing
-	// as final assignments. By default the calendar produced by Algorithm
-	// 3 is replayed through the Observation 2.1 assigner, which the paper
-	// notes "one would almost certainly" do in practice (ablation E11
-	// compares both).
+	// NoObservationReplay keeps Algorithm 3's (and Alg2Multi's) explicit
+	// in-interval packing as final assignments. By default the calendar
+	// they produce is replayed through the Observation 2.1 assigner,
+	// which the paper notes "one would almost certainly" do in practice
+	// (ablation E11 compares both).
 	NoObservationReplay bool
 	// Sink receives one trace.DecisionEvent per calibration the algorithm
 	// opens, naming the rule that fired. nil (the default) disables

@@ -40,7 +40,7 @@ type Stepper struct {
 	t      int64
 	g      int64
 	T      int64
-	pol    singlePolicy
+	pol    policy
 	tracer *decisionTracer // nil when tracing is off
 
 	q            *queue.JobQueue
@@ -56,13 +56,15 @@ type Stepper struct {
 	starts []int64
 }
 
-// singlePolicy captures how Algorithms 1 and 2 differ inside Stepper.
-type singlePolicy struct {
+// policy captures how the algorithms differ: the queue order, the
+// trigger set and Algorithm 1's immediate rule. Stepper runs Algorithms 1
+// and 2 under it, multiStepper Algorithm 3 and Alg2Multi.
+type policy struct {
 	alg              string // rule-identifier prefix for decision events
 	order            func(a, b core.Job) bool
-	countTrigger     bool // Alg1: |Q| >= G/T (as T*|Q| >= G)
-	weightTrigger    bool // Alg2: sum w >= G/T (as T*sum >= G)
-	queueFullTrigger bool // Alg2: |Q| >= T
+	countTrigger     bool // Alg1, Alg3: |Q| >= G/T (as T*|Q| >= G)
+	weightTrigger    bool // Alg2, Alg2Multi: sum w >= G/T (as T*sum >= G)
+	queueFullTrigger bool // Alg2, Alg2Multi: |Q| >= T
 	immediate        bool // Alg1: calibrate on arrival after a light interval
 }
 
@@ -81,7 +83,7 @@ type StepEvent struct {
 // machine).
 func NewAlg1Stepper(t, g int64, opts ...Option) *Stepper {
 	o := buildOptions(opts)
-	return newStepper(t, g, singlePolicy{
+	return newStepper(t, g, policy{
 		alg:          "alg1",
 		order:        queue.ByRelease,
 		countTrigger: !o.FlowTriggerOnly,
@@ -97,7 +99,7 @@ func NewAlg2Stepper(t, g int64, opts ...Option) *Stepper {
 	if o.LightestFirst {
 		order = queue.ByWeightAsc
 	}
-	return newStepper(t, g, singlePolicy{
+	return newStepper(t, g, policy{
 		alg:              "alg2",
 		order:            order,
 		weightTrigger:    !o.FlowTriggerOnly,
@@ -105,7 +107,7 @@ func NewAlg2Stepper(t, g int64, opts ...Option) *Stepper {
 	}, o)
 }
 
-func newStepper(t, g int64, pol singlePolicy, o Options) *Stepper {
+func newStepper(t, g int64, pol policy, o Options) *Stepper {
 	return &Stepper{
 		g: g, T: t, pol: pol,
 		tracer:   newDecisionTracer(o.Sink, pol.alg, g),

@@ -169,7 +169,8 @@ type SolveRequest struct {
 	// (minimum flow + G per calibration).
 	Kind string `json:"kind"`
 	// K is the calibration budget ("flow") or largest sweep budget
-	// ("sweep").
+	// ("sweep"). A sweep's K may not exceed the number of jobs n: rows
+	// past n repeat row n, so a larger K is rejected with 400.
 	K int `json:"k,omitempty"`
 	// G is the per-calibration cost ("total").
 	G    int64     `json:"g,omitempty"`
@@ -189,7 +190,9 @@ type SolveSubmitResponse struct {
 // are populated only in state "done", and only those matching the
 // request kind: Flow for "flow", Flows for "sweep", Total/BestK for
 // "total"; Calibrations and Assignments carry the optimal schedule for
-// "flow" and "total".
+// "flow" and "total". A solve that failed inside the server (it
+// panicked) is reported with status 500 and state "failed"; every other
+// state, failures of the request itself included, comes with 200.
 type SolveStatusResponse struct {
 	ID       string `json:"id"`
 	State    string `json:"state"`

@@ -108,6 +108,9 @@ var (
 	SolveCompleted = expvar.NewInt("calibserved.solve.completed")
 	// SolveFailed counts solve handles finished with an error.
 	SolveFailed = expvar.NewInt("calibserved.solve.failed")
+	// SolvePanics counts DP executions that panicked. Each fails its own
+	// handles with a 500; the process and the pool worker keep running.
+	SolvePanics = expvar.NewInt("calibserved.solve.panics")
 	// SolveQueueDepth is a gauge of queued (not yet running) solves.
 	SolveQueueDepth = expvar.NewInt("calibserved.solve.queue.depth")
 	// SolveRunning is a gauge of DP runs currently executing.

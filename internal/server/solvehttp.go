@@ -39,6 +39,8 @@ func solveEvent(ev solve.Event) {
 		metrics.SolveCompleted.Add(1)
 	case solve.EvFailed:
 		metrics.SolveFailed.Add(1)
+	case solve.EvPanicked:
+		metrics.SolvePanics.Add(1)
 	}
 }
 
@@ -101,7 +103,11 @@ func (s *Server) handleSolveGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.syncSolveGauges()
-	writeJSON(w, http.StatusOK, solveStatusJSON(st))
+	code := http.StatusOK
+	if st.Internal {
+		code = http.StatusInternalServerError
+	}
+	writeJSON(w, code, solveStatusJSON(st))
 }
 
 // solveErr maps pool errors onto the API error contract.

@@ -6,11 +6,13 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"calibsched/internal/core"
 	"calibsched/internal/offline"
+	"calibsched/internal/server/metrics"
 )
 
 // pollSolve polls GET /v1/solve/{id} until the handle is terminal.
@@ -243,6 +245,7 @@ func TestSolveMetricsExposed(t *testing.T) {
 		"# TYPE calibserved_solve_cache_misses counter",
 		"# TYPE calibserved_solve_dedup_shared counter",
 		"# TYPE calibserved_solve_runs counter",
+		"# TYPE calibserved_solve_panics counter",
 		"# TYPE calibserved_solve_queue_depth gauge",
 		"# TYPE calibserved_solve_running gauge",
 		"# TYPE calibserved_solve_cache_entries gauge",
@@ -250,5 +253,72 @@ func TestSolveMetricsExposed(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestSolveSweepBudgetBounded posts a sweep whose budget would size a
+// 2^62-row answer. The pool rejects it at submit with a 400, before any
+// worker allocates; a sweep up to n rows is still served.
+func TestSolveSweepBudgetBounded(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	jobs := []JobSpec{{Release: 0, Weight: 1}, {Release: 2, Weight: 2}, {Release: 8, Weight: 1}}
+	var errResp ErrorResponse
+	if status := doJSON(t, "POST", ts.URL+"/v1/solve", SolveRequest{T: 3, Kind: "sweep", K: 1 << 62, Jobs: jobs}, &errResp); status != 400 {
+		t.Fatalf("sweep with K = 2^62: status %d (%+v), want 400", status, errResp)
+	}
+	var sub SolveSubmitResponse
+	if status := doJSON(t, "POST", ts.URL+"/v1/solve", SolveRequest{T: 3, Kind: "sweep", K: len(jobs), Jobs: jobs}, &sub); status != 202 {
+		t.Fatalf("sweep with K = n: status %d, want 202", status)
+	}
+	if st := pollSolve(t, ts.URL, sub.ID); st.State != "done" || len(st.Flows) != len(jobs)+1 {
+		t.Fatalf("sweep with K = n: %+v", st)
+	}
+}
+
+// TestSolvePanicFailsOnlyItsRequest panics inside the first DP run. Its
+// handle reads back as 500 with state "failed", the panic counter moves,
+// and the server goes on serving: an identical request runs afresh
+// instead of attaching to the dead flight or reading a cached failure.
+func TestSolvePanicFailsOnlyItsRequest(t *testing.T) {
+	var runs atomic.Int32
+	_, ts := testServer(t, Config{
+		SolveWorkers: 1,
+		solveTestHook: func(string) {
+			if runs.Add(1) == 1 {
+				panic("injected solve failure")
+			}
+		},
+	})
+	before := metrics.SolvePanics.Value()
+	req := SolveRequest{T: 3, Kind: "total", G: 4, Jobs: []JobSpec{
+		{Release: 0, Weight: 1}, {Release: 2, Weight: 2}, {Release: 8, Weight: 1},
+	}}
+	var sub SolveSubmitResponse
+	if status := doJSON(t, "POST", ts.URL+"/v1/solve", req, &sub); status != 202 {
+		t.Fatalf("submit: status %d", status)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var st SolveStatusResponse
+		status := doJSON(t, "GET", ts.URL+"/v1/solve/"+sub.ID, nil, &st)
+		if st.State == "failed" {
+			if status != 500 || !strings.Contains(st.Error, "injected solve failure") {
+				t.Fatalf("panicked solve: status %d %+v, want 500 naming the panic", status, st)
+			}
+			break
+		}
+		if status != 200 || time.Now().After(deadline) {
+			t.Fatalf("panicked solve: status %d state %q", status, st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := metrics.SolvePanics.Value() - before; got != 1 {
+		t.Fatalf("calibserved.solve.panics moved by %d, want 1", got)
+	}
+	if status := doJSON(t, "POST", ts.URL+"/v1/solve", req, &sub); status != 202 || sub.CacheHit {
+		t.Fatalf("identical resubmit: status %d %+v, want a fresh 202", status, sub)
+	}
+	if st := pollSolve(t, ts.URL, sub.ID); st.State != "done" || st.Shared || st.Total == nil {
+		t.Fatalf("identical resubmit: %+v, want a fresh result", st)
 	}
 }

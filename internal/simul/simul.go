@@ -2,14 +2,12 @@
 // calibration algorithms: an arrival stream grouping jobs by release time,
 // and small integer-time utilities (ceiling division on int64).
 //
-// Algorithm 3, Alg2Multi and the baselines consume its arrival stream;
-// Algorithm 3 and Alg2Multi come in two operationally identical flavors —
-// a naive per-time-step simulation and an event-skipping fast-forward
-// loop. Algorithms 1 and 2 run on online.Stepper instead, whose Advance
-// skips events the same way. Event skipping matters because the
-// calibration cost G sets the natural delay scale: a lone job may wait
-// Theta(G) steps before the flow trigger fires, so a naive loop is
-// Omega(G) while the event loop is O((n + #calibrations) log n).
+// The baselines and the Observation 2.1 list scheduler
+// (online.AssignTimes) consume its arrival stream. The online algorithms
+// run on steppers fed one release time at a time (online.Stepper for
+// Algorithms 1 and 2, an unexported multi-machine stepper for Algorithm 3
+// and Alg2Multi) and take only CeilDiv from here, as do the offline DP
+// and the experiments.
 package simul
 
 import "calibsched/internal/core"

@@ -38,6 +38,9 @@ const (
 	EvCompleted
 	// EvFailed counts handles finished with an error.
 	EvFailed
+	// EvPanicked counts DP executions that panicked; their handles fail
+	// with ErrInternal and the worker lives on.
+	EvPanicked
 )
 
 // State is a handle's lifecycle phase.
@@ -97,7 +100,10 @@ type Status struct {
 	Err      string
 	CacheHit bool
 	// Shared marks handles that attached to another request's DP run.
-	Shared   bool
+	Shared bool
+	// Internal marks a failure that is the pool's, not the request's:
+	// the solve panicked (ErrInternal).
+	Internal bool
 	Created  time.Time
 	Finished time.Time
 }
@@ -178,6 +184,9 @@ var (
 	ErrUnknownHandle = errors.New("solve: unknown handle")
 	// ErrInvalid wraps request validation failures.
 	ErrInvalid = errors.New("solve: invalid request")
+	// ErrInternal wraps a panic inside a solve: the request fails, the
+	// process and the worker do not (HTTP maps it to 500).
+	ErrInternal = errors.New("solve: internal error")
 )
 
 // outcome is what a finished solve leaves behind (and what the cache
@@ -267,6 +276,11 @@ func validate(req Request, maxJobs int) error {
 	case KindFlow, KindSweep:
 		if req.K < 0 {
 			return fmt.Errorf("%w: negative budget %d", ErrInvalid, req.K)
+		}
+		// A sweep answers one row per budget 0..K, and rows past n
+		// repeat row n, so a larger K only asks for memory.
+		if n := req.Instance.N(); req.Kind == KindSweep && req.K > n {
+			return fmt.Errorf("%w: sweep budget %d exceeds the %d jobs (rows past n repeat row n)", ErrInvalid, req.K, n)
 		}
 	case KindTotalCost:
 		if req.G < 0 {
@@ -381,6 +395,7 @@ func (h *handle) statusLocked() Status {
 		Result:   h.res,
 		CacheHit: h.cacheHit,
 		Shared:   h.shared,
+		Internal: errors.Is(h.err, ErrInternal),
 		Created:  h.created,
 		Finished: h.finished,
 	}
@@ -474,20 +489,18 @@ func (p *Pool) run(fl *flight) {
 	p.event(EvRun)
 	p.mu.Unlock()
 
-	if p.opts.TestHookBeforeRun != nil {
-		p.opts.TestHookBeforeRun(fl.key)
-	}
-	start := p.clock()
-	p.opts.Spans.RecordPhase(fl.req.Span, trace.PhaseSolveQueue, fl.enqueued, start.Sub(fl.enqueued), nil)
-	out := execute(fl.req, p.opts.SolveWorkers)
-	p.opts.Spans.RecordPhase(fl.req.Span, trace.PhaseSolveDP, start, p.clock().Sub(start), nil)
+	out := p.solve(fl)
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.running--
-	if evicted, ok := p.cache.add(fl.key, out); ok {
-		p.event(EvCacheEvicted)
-		_ = evicted
+	// A panic is not cached: it says nothing certain about the request,
+	// so an identical request runs afresh.
+	if !errors.Is(out.err, ErrInternal) {
+		if evicted, ok := p.cache.add(fl.key, out); ok {
+			p.event(EvCacheEvicted)
+			_ = evicted
+		}
 	}
 	delete(p.flights, fl.key)
 	for _, id := range fl.ids {
@@ -495,6 +508,28 @@ func (p *Pool) run(fl *flight) {
 			p.finishHandleLocked(h, out)
 		}
 	}
+}
+
+// solve executes fl's DP outside the pool lock. A panic becomes an
+// ErrInternal outcome, so it fails the flight's own handles and leaves
+// the process and this worker running.
+func (p *Pool) solve(fl *flight) (out outcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			out = outcome{err: fmt.Errorf("%w: solve panicked: %v", ErrInternal, r)}
+			p.mu.Lock()
+			p.event(EvPanicked)
+			p.mu.Unlock()
+		}
+	}()
+	if p.opts.TestHookBeforeRun != nil {
+		p.opts.TestHookBeforeRun(fl.key)
+	}
+	start := p.clock()
+	p.opts.Spans.RecordPhase(fl.req.Span, trace.PhaseSolveQueue, fl.enqueued, start.Sub(fl.enqueued), nil)
+	out = execute(fl.req, p.opts.SolveWorkers)
+	p.opts.Spans.RecordPhase(fl.req.Span, trace.PhaseSolveDP, start, p.clock().Sub(start), nil)
+	return out
 }
 
 // execute runs the DP for one request using the parallel solvers.

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,12 +396,20 @@ func TestSubmitValidation(t *testing.T) {
 		{Instance: in, Kind: "nope", K: 1},
 		{Instance: in, Kind: KindFlow, K: -1},
 		{Instance: in, Kind: KindSweep, K: -2},
+		{Instance: in, Kind: KindSweep, K: 3},
+		{Instance: in, Kind: KindSweep, K: 1 << 62},
 		{Instance: in, Kind: KindTotalCost, G: -1},
 	}
 	for i, req := range cases {
 		if _, err := p.Submit(req); !errors.Is(err, ErrInvalid) {
 			t.Errorf("case %d: err = %v, want ErrInvalid", i, err)
 		}
+	}
+	// A sweep up to n budgets is the largest one accepted.
+	if id, err := p.Submit(Request{Instance: in, Kind: KindSweep, K: in.N()}); err != nil {
+		t.Errorf("sweep with K = n: %v", err)
+	} else if st := waitDone(t, p, id); st.State != StateDone || len(st.Result.Flows) != in.N()+1 {
+		t.Errorf("sweep with K = n: %+v, want %d rows", st, in.N()+1)
 	}
 	big := make([]int64, 20)
 	for i := range big {
@@ -545,5 +555,104 @@ func TestPoolSpans(t *testing.T) {
 	waitDone(t, p, id3)
 	if after := spans.Stats().SpansAdded; after != before {
 		t.Fatalf("untraced submit added spans: %d -> %d", before, after)
+	}
+}
+
+// TestPanickingSolveFailsItsOwnHandles drives a DP run that panics: every
+// handle attached to the flight, the submitter's and a deduplicated one,
+// fails with ErrInternal; the pool settles its running count and flight
+// table, counts the panic, caches nothing, and its one worker serves the
+// next requests, an identical one included.
+func TestPanickingSolveFailsItsOwnHandles(t *testing.T) {
+	rec := newRecorder()
+	started, gate := make(chan struct{}), make(chan struct{})
+	var runs atomic.Int32
+	p := New(Options{
+		Workers: 1,
+		OnEvent: rec.on,
+		TestHookBeforeRun: func(string) {
+			if runs.Add(1) == 1 {
+				close(started)
+				<-gate
+				panic("injected solve failure")
+			}
+		},
+	})
+	defer p.Close()
+	in := core.MustInstance(1, 4, []int64{0, 1, 2, 6, 9}, []int64{2, 1, 3, 1, 2})
+	req := Request{Instance: in, Kind: KindTotalCost, G: 5}
+
+	first, err := p.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	shared, err := p.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	for _, id := range []string{first, shared} {
+		st, err := p.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateFailed || !st.Internal || !strings.Contains(st.Err, "injected solve failure") {
+			t.Fatalf("handle %s: %+v, want an internal failure naming the panic", id, st)
+		}
+	}
+	p.mu.Lock()
+	running, flights, cached := p.running, len(p.flights), p.cache.len()
+	p.mu.Unlock()
+	if running != 0 || flights != 0 || cached != 0 {
+		t.Fatalf("after the panic: running %d, flights %d, cache entries %d; want 0, 0, 0", running, flights, cached)
+	}
+	if got := rec.get(EvPanicked); got != 1 {
+		t.Fatalf("EvPanicked = %d, want 1", got)
+	}
+
+	want, wantK, _, err := offline.OptimalTotalCost(in, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := p.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitDone(t, p, again)
+	if st.State != StateDone || st.Shared || st.CacheHit || st.Result.Total != want || st.Result.BestK != wantK {
+		t.Fatalf("identical request after the panic: %+v, want a fresh run with total %d", st, want)
+	}
+	other, err := p.Submit(Request{Instance: in, Kind: KindFlow, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, p, other); st.State != StateDone {
+		t.Fatalf("other request after the panic: %+v", st)
+	}
+}
+
+// TestOverflowingSolveFailsItsOwnHandle sends an instance whose exact
+// arithmetic overflows inside the DP's parallel table fill (w*(r+1) =
+// 2^32 * 2^31). The panic starts on a DP worker goroutine, not the pool
+// worker, and must still fail only this request.
+func TestOverflowingSolveFailsItsOwnHandle(t *testing.T) {
+	p := New(Options{Workers: 1, SolveWorkers: 2})
+	defer p.Close()
+	in := core.MustInstance(1, 1, []int64{0, 1<<31 - 1}, []int64{1, 1 << 32}).Canonicalize()
+	id, err := p.Submit(Request{Instance: in, Kind: KindTotalCost, G: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, p, id); st.State != StateFailed || !st.Internal || !strings.Contains(st.Err, "overflow") {
+		t.Fatalf("overflowing solve: %+v, want an internal failure naming the overflow", st)
+	}
+	small := core.MustInstance(1, 2, []int64{0, 3}, []int64{1, 2})
+	next, err := p.Submit(Request{Instance: small, Kind: KindTotalCost, G: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, p, next); st.State != StateDone {
+		t.Fatalf("solve after the overflow: %+v", st)
 	}
 }

@@ -10,15 +10,15 @@ import (
 // carries the same table in prose and the tests pin the two against the
 // emitters' rule names.
 var ruleDocs = map[string]string{
-	"alg1.flow-open":            "ski-rental flow trigger (Sec. 3.1, Lemma 3.2): the waiting jobs' prospective flow reached G, so calibrating now costs no more than letting flow accrue",
+	"alg1.flow-open":            "ski-rental flow trigger (Sec. 3.1, Lemma 3.2): the waiting jobs' flow if they start at the next step, f(t+1) = f(t) + w(Q), reached G, so calibrating now costs no more than letting flow accrue",
 	"alg1.count-open":           "queue-size trigger (Algorithm 1 line 6, Lemma 3.2): at least G/T jobs wait, so one T-step interval amortizes its cost G across them",
 	"alg1.immediate-open":       "immediate recalibration (Algorithm 1 line 10, Thm 3.3 charging): the previous interval accrued flow below G/2, so a fresh arrival calibrates immediately",
-	"alg2.flow-open":            "ski-rental flow trigger (Sec. 3.2, Lemma 3.7): prospective weighted flow reached G",
+	"alg2.flow-open":            "ski-rental flow trigger (Sec. 3.2, Lemma 3.7): the waiting jobs' weighted flow if they start at the next step, f(t+1) = f(t) + w(Q), reached G",
 	"alg2.weight-open":          "queued-weight trigger (Algorithm 2 line 6, Thm 3.8): waiting weight reached G/T, the weighted analogue of Algorithm 1's count rule",
 	"alg2.queue-full-open":      "full-queue trigger (Algorithm 2's |Q| = T rule): T jobs wait, enough to fill an entire interval",
-	"alg3.flow-open":            "ski-rental flow trigger on the shared queue (Algorithm 3, Thm 3.10)",
+	"alg3.flow-open":            "ski-rental flow trigger on the shared queue (Algorithm 3, Thm 3.10): the waiting jobs' flow if they start at the next step, f(t+1) = f(t) + w(Q), reached G",
 	"alg3.count-open":           "queue-size trigger, round-robin machine (Algorithm 3 line 10, Thm 3.10): at least G/T jobs wait",
-	"alg2multi.flow-open":       "ski-rental flow trigger on the shared weighted queue (extension; fuses Algorithm 2's rule with Algorithm 3's calendar)",
+	"alg2multi.flow-open":       "ski-rental flow trigger on the shared weighted queue (extension; fuses Algorithm 2's rule with Algorithm 3's calendar): the waiting jobs' weighted flow if they start at the next step, f(t+1) = f(t) + w(Q), reached G",
 	"alg2multi.weight-open":     "queued-weight trigger, round-robin machine (extension of Algorithm 2 line 6 to P machines)",
 	"alg2multi.queue-full-open": "full-queue trigger, round-robin machine (extension of Algorithm 2's |Q| = T rule)",
 	"offline.dp.cover-open":     "greedy cover of the DP slots (Thm 4.7): the Proposition 1/2 optimum fixed this job's start outside every open interval, so a new interval opens here",
