@@ -27,6 +27,26 @@ func TestAlg2MultiValidOnRandomInstances(t *testing.T) {
 	}
 }
 
+func TestAlg2MultiFastMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewPCG(72, 6))
+	for trial := 0; trial < 400; trial++ {
+		p := 1 + rng.IntN(3)
+		in := randomInstance(rng, p, true)
+		g := int64(rng.IntN(60))
+		fast, err := Alg2Multi(in, g, WithoutObservationReplay())
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := Alg2Multi(in, g, WithoutObservationReplay(), WithNaiveStepping())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSchedule(fast.Schedule, naive.Schedule) {
+			t.Fatalf("trial %d (P=%d G=%d T=%d): fast != naive", trial, p, g, in.T)
+		}
+	}
+}
+
 func TestAlg2MultiReplayNeverWorse(t *testing.T) {
 	rng := rand.New(rand.NewPCG(73, 7))
 	for trial := 0; trial < 200; trial++ {

@@ -294,6 +294,30 @@ func TestAlg3SingleMachineAgreesWithSpirit(t *testing.T) {
 	}
 }
 
+func TestAlg3FastMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewPCG(303, 3))
+	for trial := 0; trial < 500; trial++ {
+		p := 1 + rng.IntN(3)
+		in := randomInstance(rng, p, false)
+		g := int64(rng.IntN(60))
+		fast, err := Alg3(in, g, WithoutObservationReplay())
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := Alg3(in, g, WithoutObservationReplay(), WithNaiveStepping())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.Validate(in, fast.Schedule); err != nil {
+			t.Fatalf("trial %d (P=%d G=%d T=%d): invalid: %v", trial, p, g, in.T, err)
+		}
+		if !sameSchedule(fast.Schedule, naive.Schedule) {
+			t.Fatalf("trial %d (P=%d G=%d T=%d): fast != naive\nfast:  %v\nnaive: %v",
+				trial, p, g, in.T, fast.Schedule.Assignments, naive.Schedule.Assignments)
+		}
+	}
+}
+
 func TestAlg3ReplayNeverWorse(t *testing.T) {
 	// Observation 2.1 replay is optimal for the calendar, so it can only
 	// lower the flow relative to the explicit packing.
